@@ -171,26 +171,30 @@ def energy_distance_test(
 ) -> tuple[float, float]:
     """Two-sample energy statistic with a permutation p-value.
 
-    The pooled pairwise distance matrix is computed once; label shuffles
-    reuse it, so the test is cheap at moderate sample sizes.
+    The pooled pairwise distance matrix D is computed once. Each label split
+    (the observed one, then one `rng.permutation` per shuffle) is a 0/1
+    column of A, so the single product D @ A gives the within-x distance sums
+    of every split; the cross and within-y sums follow from the row sums of D.
     """
     nx, ny = x.shape[0], y.shape[0]
+    if nx == 0 or ny == 0:
+        raise ValueError("energy test needs two non-empty samples")
     pool = np.vstack([x, y])
     dist = cdist(pool, pool)
 
-    def stat(ix, iy):
-        dxy = dist[np.ix_(ix, iy)].mean()
-        dxx = dist[np.ix_(ix, ix)].mean()
-        dyy = dist[np.ix_(iy, iy)].mean()
-        return 2.0 * dxy - dxx - dyy
+    labels = np.zeros((nx + ny, n_permutations + 1))
+    labels[:nx, 0] = 1.0
+    for j in range(1, n_permutations + 1):
+        labels[rng.permutation(nx + ny)[:nx], j] = 1.0
+    row_sums = dist.sum(axis=1)
+    s_xx = np.einsum("ij,ij->j", labels, dist @ labels)
+    s_x1 = row_sums @ labels
+    s_xy = s_x1 - s_xx
+    s_yy = row_sums.sum() - 2.0 * s_x1 + s_xx
+    energy = 2.0 * s_xy / (nx * ny) - s_xx / (nx * nx) - s_yy / (ny * ny)
 
-    base = np.arange(nx + ny)
-    observed = stat(base[:nx], base[nx:])
-    hits = 0
-    for _ in range(n_permutations):
-        perm = rng.permutation(nx + ny)
-        if stat(perm[:nx], perm[nx:]) >= observed:
-            hits += 1
+    observed = energy[0]
+    hits = int(np.count_nonzero(energy[1:] >= observed))
     p = (hits + 1) / (n_permutations + 1)
     return float(observed), p
 

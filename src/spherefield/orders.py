@@ -20,7 +20,7 @@ from scipy import stats
 
 from .gaussian import Estimate, GaussianModel, sample
 from .metric import space_hash
-from .orthant import orthant_2d, orthant_3d
+from .orthant import orthant_2d, orthant_3d_arcsine
 
 MAX_POINTS = 8
 
@@ -117,10 +117,10 @@ def ordering_prob_exact(model: GaussianModel, permutation) -> float:
     """P(eta_{p0} < eta_{p1} < ... < eta_{p_{k-1}}) for point indices p.
 
     The event is the positive orthant of the consecutive-difference
-    vector: k = 2 is exactly 1/2 (a centered difference), k = 3 uses the
-    bivariate arcsine closed form, k = 4 deterministic quadrature with
-    absolute accuracy well below 1e-6. Larger k is not supported on the
-    exact path.
+    vector: k = 2 is exactly 1/2 (a centered difference), k = 3 and k = 4
+    use the bivariate and trivariate arcsine closed forms on the correlation
+    of the difference covariance. Larger k is not supported on the exact
+    path.
     """
     perm = tuple(int(p) for p in permutation)
     k = len(perm)
@@ -148,7 +148,8 @@ def ordering_prob_exact(model: GaussianModel, permutation) -> float:
     if k == 3:
         rho = cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1])
         return orthant_2d(rho)
-    return orthant_3d(cov)
+    s = np.sqrt(np.diag(cov))
+    return orthant_3d_arcsine(cov / np.outer(s, s))
 
 
 def uniformity_test(dist: OrderDistribution) -> tuple[float, float]:
@@ -165,8 +166,8 @@ def uniformity_test(dist: OrderDistribution) -> tuple[float, float]:
         raise ValueError(
             f"sample too small: expected count {expected:.2f} per cell is below 5"
         )
-    counts = [dist.counts()[key] for key in sorted(dist.probs)]
-    stat, p = stats.chisquare(counts)
+    counts = dist.counts()
+    stat, p = stats.chisquare([counts[key] for key in sorted(counts)])
     return float(stat), float(p)
 
 

@@ -1,9 +1,8 @@
-"""Orthant probabilities of centered Gaussian vectors.
+"""Orthant probabilities of centered Gaussian vectors, in closed form.
 
-Dimension 2 has the classical arcsine closed form; dimension 3 is reduced
-to a deterministic 1-D adaptive quadrature of the conditional bivariate
-CDF, which is evaluated in closed form through Owen's T function. Both
-routes target absolute accuracy well below 1e-6.
+Dimension 2 is Sheppard's arcsine formula. Dimension 3 is its classical
+extension, 1/8 plus the sum of the three pairwise arcsines over 4 pi. Both
+are exact up to floating-point roundoff.
 """
 
 from __future__ import annotations
@@ -11,11 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import owens_t
-from scipy.stats import norm
-
-_RHO_CAP = 1.0 - 1e-12
 
 
 def orthant_2d(rho: float) -> float:
@@ -24,52 +18,9 @@ def orthant_2d(rho: float) -> float:
     return 0.25 + math.asin(rho) / (2.0 * math.pi)
 
 
-def bvn_cdf(h: float, k: float, rho: float) -> float:
-    """P(X <= h, Y <= k) for standard bivariate normal, via Owen's T."""
-    rho = min(max(rho, -_RHO_CAP), _RHO_CAP)
-    if h == 0.0 and k == 0.0:
-        return 0.25 + math.asin(rho) / (2.0 * math.pi)
-    s = math.sqrt(1.0 - rho * rho)
-    # guard the removable singularities of the T arguments at h=0 or k=0
-    hh = h if h != 0.0 else math.copysign(1e-300, 1.0)
-    kk = k if k != 0.0 else math.copysign(1e-300, 1.0)
-    t1 = owens_t(hh, (kk - rho * hh) / (hh * s))
-    t2 = owens_t(kk, (hh - rho * kk) / (kk * s))
-    delta = 0.0 if h * k > 0 or (h * k == 0.0 and (h + k) >= 0.0) else 0.5
-    return 0.5 * (norm.cdf(h) + norm.cdf(k)) - t1 - t2 - delta
-
-
-def orthant_3d(cov: np.ndarray, epsabs: float = 1e-9) -> float:
-    """P(X1 > 0, X2 > 0, X3 > 0) for a centered trivariate normal.
-
-    Conditions on the third coordinate and integrates the conditional
-    bivariate upper-orthant probability with adaptive quadrature.
-    """
-    cov = np.asarray(cov, dtype=float)
-    s = np.sqrt(np.diag(cov))
-    if np.any(s <= 0):
-        raise ValueError("covariance must have positive diagonal")
-    corr = cov / np.outer(s, s)
-    r12, r13, r23 = corr[0, 1], corr[0, 2], corr[1, 2]
-    v1 = 1.0 - r13 * r13
-    v2 = 1.0 - r23 * r23
-    if v1 <= 0 or v2 <= 0:
-        raise ValueError("covariance is singular in the conditioning direction")
-    # conditional correlation of (X1, X2) given X3
-    rc = (r12 - r13 * r23) / math.sqrt(v1 * v2)
-
-    def integrand(t: float) -> float:
-        # P(X1 > 0, X2 > 0 | X3 = t) = BVN CDF at the standardized means
-        h = r13 * t / math.sqrt(v1)
-        k = r23 * t / math.sqrt(v2)
-        return norm.pdf(t) * bvn_cdf(h, k, rc)
-
-    val, _ = quad(integrand, 0.0, 9.0, epsabs=epsabs, epsrel=0.0, limit=200)
-    return val
-
-
 def orthant_3d_arcsine(corr: np.ndarray) -> float:
-    """Independent closed form: 1/8 + sum of pairwise arcsines / (4 pi)."""
+    """P(X1 > 0, X2 > 0, X3 > 0) for a centered trivariate normal with
+    correlation matrix corr: 1/8 + sum of pairwise arcsines / (4 pi)."""
     corr = np.asarray(corr, dtype=float)
     return 0.125 + (
         math.asin(corr[0, 1]) + math.asin(corr[0, 2]) + math.asin(corr[1, 2])

@@ -24,19 +24,30 @@ def normal_matrix(seed: int, rows: int, cols: int, row_offset: int = 0) -> np.nd
 
     `normal_matrix(s, r, c, k)` equals rows [k, k+r) of `normal_matrix(s, k+r, c)`.
     """
-    if rows < 0 or cols <= 0:
-        return np.empty((max(rows, 0), max(cols, 0)))
+    if rows < 0:
+        raise ValueError("rows must be nonnegative")
+    if cols <= 0:
+        return np.empty((rows, max(cols, 0)))
     bitgen = np.random.Philox(key=seed)
     stride = _stride_per_row(cols)
     if row_offset:
         bitgen.advance(row_offset * (stride // 4))
     gen = np.random.Generator(bitgen)
+    # Box-Muller in place: r and the angle are half-width each, so at most two
+    # (rows, stride) arrays are alive at once
     u = gen.random((rows, stride // 2, 2))
-    r = np.sqrt(-2.0 * np.log1p(-u[..., 0]))  # 1-u in (0,1], log finite
-    ang = 2.0 * np.pi * u[..., 1]
+    r = np.negative(u[..., 0])
+    np.log1p(r, out=r)  # 1-u in (0,1], log finite
+    r *= -2.0
+    np.sqrt(r, out=r)
+    ang = u[..., 1] * (2.0 * np.pi)
+    del u
     z = np.empty((rows, stride))
-    z[:, 0::2] = r * np.cos(ang)
-    z[:, 1::2] = r * np.sin(ang)
+    np.cos(ang, out=z[:, 0::2])
+    z[:, 0::2] *= r
+    np.sin(ang, out=z[:, 1::2])
+    z[:, 1::2] *= r
+    del r, ang
     return np.ascontiguousarray(z[:, :cols])
 
 

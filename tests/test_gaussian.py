@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import spherefield as sf
 from spherefield import (
@@ -22,7 +23,7 @@ from spherefield import (
     space_from_sq,
     verify_isometry,
 )
-from spherefield.gaussian import tv_discretized_2d
+from spherefield.gaussian import energy_distance_test, tv_discretized_2d
 from spherefield.orthant import orthant_2d
 
 
@@ -129,6 +130,71 @@ def test_invariance_requires_total_map(equilateral):
     m = build_model(equilateral, seed=14)
     with pytest.raises(ValueError, match="total"):
         invariance_check(m, PartialIsometry((0, 1), (1, 0)))
+
+
+def test_invariance_rejects_empty_sample(equilateral):
+    m = build_model(equilateral, seed=15)
+    with pytest.raises(ValueError, match="non-empty"):
+        invariance_check(m, PartialIsometry((0, 1, 2), (0, 1, 2)), n_samples=0)
+
+
+# --- energy test ----------------------------------------------------------------
+
+def energy_test_reference(x, y, rng, n_permutations):
+    """The energy permutation test as three block copies per label split."""
+    nx, ny = x.shape[0], y.shape[0]
+    pool = np.vstack([x, y])
+    dist = cdist(pool, pool)
+
+    def stat(ix, iy):
+        dxy = dist[np.ix_(ix, iy)].mean()
+        dxx = dist[np.ix_(ix, ix)].mean()
+        dyy = dist[np.ix_(iy, iy)].mean()
+        return 2.0 * dxy - dxx - dyy
+
+    base = np.arange(nx + ny)
+    observed = stat(base[:nx], base[nx:])
+    hits = 0
+    for _ in range(n_permutations):
+        perm = rng.permutation(nx + ny)
+        if stat(perm[:nx], perm[nx:]) >= observed:
+            hits += 1
+    return float(observed), (hits + 1) / (n_permutations + 1)
+
+
+@pytest.mark.parametrize(
+    "nx,ny,dim,shift,n_permutations",
+    [
+        (40, 40, 3, 0.0, 99),
+        (40, 40, 3, 0.4, 99),
+        (25, 61, 2, 0.0, 50),
+        (70, 13, 1, 0.3, 50),
+        (300, 200, 4, 0.1, 30),
+        (35, 35, 2, 0.2, 0),
+        (18, 27, 3, 0.0, 0),
+        (1, 1, 2, 0.0, 9),
+    ],
+)
+def test_energy_test_matches_reference(nx, ny, dim, shift, n_permutations):
+    data = np.random.default_rng(nx * 1000 + ny)
+    x = data.normal(size=(nx, dim))
+    y = data.normal(size=(ny, dim)) + shift
+    rng_a, rng_b = np.random.default_rng(77), np.random.default_rng(77)
+    stat, p = energy_distance_test(x, y, rng_a, n_permutations)
+    ref_stat, ref_p = energy_test_reference(x, y, rng_b, n_permutations)
+    assert p == ref_p
+    assert abs(stat - ref_stat) <= 1e-9 * abs(ref_stat)
+    # the shuffles consume the generator exactly as before
+    assert rng_a.random() == rng_b.random()
+
+
+def test_energy_test_rejects_empty_sample():
+    y = np.ones((5, 3))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="non-empty"):
+        energy_distance_test(np.zeros((0, 3)), y, rng, 99)
+    with pytest.raises(ValueError, match="non-empty"):
+        energy_distance_test(y, np.zeros((0, 3)), rng, 99)
 
 
 # --- non-product witness --------------------------------------------------------

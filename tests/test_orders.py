@@ -1,9 +1,12 @@
 """Sort-induced order distributions: exact values, uniformity, support."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
+from orthant_quadrature import orthant_3d
+from scipy import stats
 
 from spherefield import (
     build_model,
@@ -12,6 +15,7 @@ from spherefield import (
     order_distribution,
     ordering_prob_exact,
     random_extension,
+    sample,
     uniformity_test,
 )
 
@@ -76,6 +80,17 @@ def test_exact_probabilities_sum_to_one_k4_quadrature():
         ordering_prob_exact(m, perm) for perm in itertools.permutations(range(4))
     )
     assert abs(total - 1.0) < 1e-6
+
+
+def test_k4_closed_form_matches_quadrature_oracle():
+    rng = np.random.default_rng(61)
+    m = build_model(random_extension(empty_space(), 5, rng), seed=62)
+    sigma = m.sigma_float()
+    diff = np.eye(3, 4, 1) - np.eye(3, 4)
+    for perm in itertools.permutations(range(5), 4):
+        sub = sigma[np.ix_(perm, perm)]
+        oracle = orthant_3d(diff @ sub @ diff.T)
+        assert abs(ordering_prob_exact(m, perm) - oracle) < 1e-7
 
 
 def test_exact_path_size_limits(eq_model):
@@ -146,6 +161,21 @@ def test_uniformity_needs_enough_samples(iso_model):
     dist = order_distribution(iso_model, (0, 1, 2), 24)
     with pytest.raises(ValueError, match="small"):
         uniformity_test(dist)
+
+
+def test_uniformity_k7_matches_scipy_chisquare():
+    # 5040 cells at 5 expected draws each: the chi-square over the counts in
+    # sorted key order, counted here straight from the draws
+    rng = np.random.default_rng(63)
+    m = build_model(random_extension(empty_space(), 8, rng), seed=64)
+    indices = (6, 1, 3, 0, 7, 2, 5)
+    n = 5 * 5040
+    dist = order_distribution(m, indices, n)
+    order = np.argsort(sample(m, n)[:, indices], axis=1, kind="stable")
+    seen = Counter("".join(str(p + 1) for p in row) for row in order.tolist())
+    keys = sorted("".join(str(p + 1) for p in perm) for perm in itertools.permutations(range(7)))
+    expect = stats.chisquare([seen[key] for key in keys])
+    assert uniformity_test(dist) == (float(expect[0]), float(expect[1]))
 
 
 def test_distribution_determinism(iso_model):

@@ -1,4 +1,4 @@
-"""Orthant probability routes validated against quadrature and each other."""
+"""Closed-form orthant probabilities validated against quadrature oracles."""
 
 import math
 
@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from spherefield.orthant import bvn_cdf, orthant_2d, orthant_3d, orthant_3d_arcsine
+from orthant_quadrature import bvn_cdf, orthant_3d
+from spherefield.orthant import orthant_2d, orthant_3d_arcsine
 
 
 def orthant_2d_quadrature(rho: float) -> float:
@@ -65,6 +66,9 @@ def test_orthant_3d_monte_carlo_sanity():
     draws = rng.multivariate_normal(np.zeros(3), cov, size=400_000)
     mc = float(np.mean(np.all(draws > 0, axis=1)))
     assert abs(orthant_3d(cov) - mc) < 4 * math.sqrt(mc * (1 - mc) / 400_000)
+    s = np.sqrt(np.diag(cov))
+    corr = cov / np.outer(s, s)
+    assert abs(orthant_3d_arcsine(corr) - mc) < 4 * math.sqrt(mc * (1 - mc) / 400_000)
 
 
 def test_orthant_3d_rejects_singular_conditioning():
