@@ -17,29 +17,28 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotMemberError, SnapError, UnrealizableTypeError
-from .exact import as_fraction, snap_sq_dist, solve_posdef
+from .errors import SnapError, UnrealizableTypeError
+from .exact import as_fraction, solve_posdef
 from .metric import (
-    GramMatrix,
     PartialIsometry,
     Rejection,
     SpaceDistances,
     certify_membership,
     embed,
+    extend_space,
+    extension_minors,
     gram_entries,
     load_space,
+    require_member,
     save_space,
+    snap_and_certify,
     space_hash,
     verify_isometry,
 )
 from .sampling import random_unit_vectors
 
-
-def _require_member(space: SpaceDistances, what: str) -> GramMatrix:
-    cert = certify_membership(space)
-    if isinstance(cert, Rejection):
-        raise NotMemberError(f"{what} is not a certified member: {cert}", cert)
-    return cert
+# fresh draws in random_extension before it gives up
+RESAMPLES = 5
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,8 @@ class AmalgamProblem:
         iso = PartialIsometry(self.common_left, self.common_right)
         if not verify_isometry(self.left, self.right, iso):
             raise ValueError("identified subspaces are not exactly isometric")
-        _require_member(self.left, "left")
-        _require_member(self.right, "right")
+        require_member(self.left, "left")
+        require_member(self.right, "right")
 
 
 def amalgamate(problem: AmalgamProblem) -> SpaceDistances:
@@ -83,45 +82,21 @@ def amalgamate(problem: AmalgamProblem) -> SpaceDistances:
     gl = gram_entries(left)
     gr = gram_entries(right)
     g_common = [[gl[cl[i]][cl[j]] for j in range(k)] for i in range(k)]
+    common_of_left = {cl[t]: cr[t] for t in range(k)}
 
-    # projection weights of each right-only point onto span(common)
-    weights = {}
+    to_old = []
     for j in right_only:
-        rhs = [gr[j][cr[i]] for i in range(k)]
-        weights[j] = solve_posdef(g_common, rhs) if k else []
-
-    n_total = left.n + len(right_only)
-    sq = [[Fraction(0)] * n_total for _ in range(n_total)]
-    for i in range(left.n):
-        for j in range(left.n):
-            sq[i][j] = left.sq_dist[i][j]
-    pos_of_right = {cr[i]: cl[i] for i in range(k)}
-    for bi, j in enumerate(right_only):
-        pos_of_right[j] = left.n + bi
-    for a in range(right.n):
-        for b in range(right.n):
-            if a in pos_of_right and b in pos_of_right and (a in right_only or b in right_only):
-                sq[pos_of_right[a]][pos_of_right[b]] = right.sq_dist[a][b]
-    cl_set = set(cl)
-    for i in range(left.n):
-        if i in cl_set:
-            continue  # common points: cross entries already copied from right
-        r_i = [gl[i][cl[t]] for t in range(k)]
-        for bi, j in enumerate(right_only):
-            inner = sum(r_i[t] * weights[j][t] for t in range(k)) if k else Fraction(0)
-            d_sq = 2 - 2 * inner
-            sq[i][left.n + bi] = d_sq
-            sq[left.n + bi][i] = d_sq
-
-    labels = list(left.labels)
-    used = set(labels)
-    for j in right_only:
-        name = right.labels[j]
-        while name in used:
-            name += "'"
-        used.add(name)
-        labels.append(name)
-    out = SpaceDistances(labels=tuple(labels), sq_dist=tuple(tuple(r) for r in sq))
+        # projection weights of the right-only point onto span(common)
+        w = solve_posdef(g_common, [gr[j][cr[t]] for t in range(k)]) if k else []
+        row = []
+        for i in range(left.n):
+            if i in common_of_left:
+                row.append(right.sq_dist[j][common_of_left[i]])
+            else:
+                row.append(2 - 2 * sum((gl[i][cl[t]] * w[t] for t in range(k)), Fraction(0)))
+        to_old.append(row)
+    among = [[right.sq_dist[a][b] for b in right_only] for a in right_only]
+    out = extend_space(left, to_old, among, [right.labels[j] for j in right_only])
     cert = certify_membership(out)
     if isinstance(cert, Rejection):  # cannot happen: orthogonal residuals stay independent
         raise AssertionError(f"free amalgam failed certification: {cert}")
@@ -133,8 +108,6 @@ def random_extension(
     k: int,
     rng: np.random.Generator,
     denom_bits: int = 32,
-    max_retries: int = 3,
-    max_resamples: int = 5,
 ) -> SpaceDistances:
     """Adjoin k points sampled uniformly on the unit sphere of an (n+k)-dim
     embedding; new distances are snapped to the dyadic grid and the result
@@ -144,45 +117,29 @@ def random_extension(
         return space
     if k < 0:
         raise ValueError("k must be nonnegative")
-    _require_member(space, "space")
     n = space.n
-    base = embed(space).coords if n else np.zeros((0, 0))
     padded = np.zeros((n, n + k))
     if n:
-        padded[:, :n] = base
+        padded[:, :n] = embed(space).coords  # certifies `space`
+    names = [f"g{n + t}" for t in range(k)]
 
-    for _ in range(max_resamples):
+    def build(snapped):
+        it = iter(snapped)
+        rows = [[next(it) for _ in range(n + t)] for t in range(k)]  # to every earlier point
+        among = [[rows[max(t, u)][n + min(t, u)] if t != u else None for u in range(k)]
+                 for t in range(k)]
+        return extend_space(space, [r[:n] for r in rows], among, names)
+
+    for _ in range(RESAMPLES):
         fresh = random_unit_vectors(rng, k, n + k)
         allpts = np.vstack([padded, fresh])
-        bits = denom_bits
-        for _ in range(max_retries + 1):
-            sq = [list(row) for row in space.sq_dist]
-            for row in sq:
-                row.extend([Fraction(0)] * k)
-            for _ in range(k):
-                sq.append([Fraction(0)] * (n + k))
-            for i in range(n + k):
-                for j in range(max(i + 1, n), n + k):
-                    d = float(np.sum((allpts[i] - allpts[j]) ** 2))
-                    v = snap_sq_dist(d, bits)
-                    sq[i][j] = v
-                    sq[j][i] = v
-            labels = list(space.labels)
-            used = set(labels)
-            for t in range(k):
-                name = f"g{n + t}"
-                while name in used:
-                    name += "'"
-                used.add(name)
-                labels.append(name)
-            candidate = SpaceDistances(labels=tuple(labels), sq_dist=tuple(tuple(r) for r in sq))
-            cert = certify_membership(candidate)
-            if isinstance(cert, GramMatrix):
-                return candidate
-            bits *= 2
-    raise SnapError(
-        f"random extension failed certification after {max_resamples} resamples"
-    )
+        values = [float(np.sum((allpts[i] - allpts[n + t]) ** 2))
+                  for t in range(k) for i in range(n + t)]
+        try:
+            return snap_and_certify(build, values, denom_bits)[0]
+        except SnapError:
+            continue
+    raise SnapError(f"random extension failed certification after {RESAMPLES} resamples")
 
 
 def one_point_extension_witness(space: SpaceDistances, target_dists) -> SpaceDistances:
@@ -193,24 +150,14 @@ def one_point_extension_witness(space: SpaceDistances, target_dists) -> SpaceDis
     dists = tuple(as_fraction(d) for d in target_dists)
     if len(dists) != space.n:
         raise ValueError(f"expected {space.n} prescribed distances, got {len(dists)}")
-    cert = _require_member(space, "space")
-    from .typegeom import extension_minors
-
+    cert = require_member(space, "space")
     minors, stop = extension_minors(cert, dists)
     if stop is not None:
         raise UnrealizableTypeError(
             f"prescription not realizable: non-positive pivot at index {stop}",
             Rejection(pivot_index=stop, leading_minor=minors[stop]),
         )
-    n = space.n
-    labels = list(space.labels)
-    name = f"w{n}"
-    while name in labels:
-        name += "'"
-    labels.append(name)
-    sq = [list(row) + [dists[i]] for i, row in enumerate(space.sq_dist)]
-    sq.append(list(dists) + [Fraction(0)])
-    return SpaceDistances(labels=tuple(labels), sq_dist=tuple(tuple(r) for r in sq))
+    return extend_space(space, [dists], [[None]], [f"w{space.n}"])
 
 
 def check_transitivity_witness(
@@ -262,7 +209,7 @@ def no_algebraicity_witnesses(
         raise IndexError(f"x_idx {x_idx} out of range")
     if len(set(fixed)) != len(fixed):
         raise ValueError("fixed indices must be distinct")
-    _require_member(space, "space")
+    require_member(space, "space")
 
     g = gram_entries(space)
     kf = len(fixed)
@@ -279,27 +226,9 @@ def no_algebraicity_witnesses(
         inner = sum(w[i] * g[fixed[i]][p] for i in range(kf)) if kf else Fraction(0)
         cross_to_old.append(2 - 2 * inner)
 
-    total = n + m
-    sq = [[Fraction(0)] * total for _ in range(total)]
-    for i in range(n):
-        for j in range(n):
-            sq[i][j] = space.sq_dist[i][j]
-    for t in range(m):
-        for p in range(n):
-            sq[n + t][p] = cross_to_old[p]
-            sq[p][n + t] = cross_to_old[p]
-        for s in range(m):
-            if s != t:
-                sq[n + t][n + s] = sq_between
-    labels = list(space.labels)
-    used = set(labels)
-    for t in range(m):
-        name = f"orbit{t}"
-        while name in used:
-            name += "'"
-        used.add(name)
-        labels.append(name)
-    combined = SpaceDistances(labels=tuple(labels), sq_dist=tuple(tuple(r) for r in sq))
+    combined = extend_space(
+        space, [cross_to_old] * m, [[sq_between] * m] * m, [f"orbit{t}" for t in range(m)]
+    )
     cert = certify_membership(combined)
     if isinstance(cert, Rejection):  # cannot happen: fresh orthogonal residuals
         raise AssertionError(f"witness family failed certification: {cert}")

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import builder, gaussian, orders, typegeom
-from .errors import MalformedSpaceError, NotMemberError, SphereFieldError
+from .errors import NotMemberError, SphereFieldError
 from .exact import frac_to_pair, snap_sq_dist_floor
 from .gaussian import CylinderEvent
 from .metric import (
@@ -36,15 +36,6 @@ from .metric import (
     space_to_json,
 )
 from .sampling import random_unit_vectors
-
-HARD_DEFAULTS = {
-    "seed": 0,
-    "samples": 1_000_000,
-    "tol": 1e-9,
-    "denom_bits": 32,
-    "out": ".",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -424,7 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 _INPUT_KEYS = {"space", "left", "right", "start"}
 
-COMMAND_DEFAULTS = {
+DEFAULTS = {
+    "seed": 0,
+    "samples": 1_000_000,
+    "tol": 1e-9,
+    "denom_bits": 32,
+    "out": ".",
     "common_left": "",
     "common_right": "",
     "stages": 8,
@@ -447,15 +443,13 @@ def make_config(args: argparse.Namespace) -> ExperimentConfig:
         with open(args.config) as fh:
             file_defaults = json.load(fh)
 
-    def pick(name, hard=None):
+    def pick(name):
         explicit = getattr(args, name, None)
         if explicit is not None:
             return explicit
         if name in file_defaults:
             return file_defaults[name]
-        if name in HARD_DEFAULTS:
-            return HARD_DEFAULTS[name]
-        return COMMAND_DEFAULTS.get(name, hard)
+        return DEFAULTS.get(name)
 
     inputs = {}
     params = {}
@@ -496,13 +490,13 @@ def main(argv=None) -> int:
         cfg = make_config(args)
         return _DISPATCH[args.command](cfg)
     except (
-        MalformedSpaceError,
         SphereFieldError,
         OSError,
         json.JSONDecodeError,
         ValueError,
         IndexError,
         KeyError,
+        ZeroDivisionError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,13 +16,15 @@ from fractions import Fraction
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import NotMemberError, PrecisionError
+from .errors import PrecisionError
 from .exact import FracMatrix, as_fraction, frac_to_pair
 from .metric import (
     PartialIsometry,
     Rejection,
     SpaceDistances,
     certify_membership,
+    extend_space,
+    require_member,
     verify_isometry,
 )
 from .sampling import normal_matrix
@@ -71,9 +73,7 @@ class GaussianModel:
 def build_model(space: SpaceDistances, seed: int = 0) -> GaussianModel:
     """Model of the field on a certified space; raises on non-members and on
     exact-PD matrices that degenerate at double precision."""
-    cert = certify_membership(space)
-    if isinstance(cert, Rejection):
-        raise NotMemberError(f"space is not a certified member: {cert}", cert)
+    cert = require_member(space, "space")
     sf = cert.to_float()
     try:
         chol = np.linalg.cholesky(sf) if space.n else np.zeros((0, 0))
@@ -308,40 +308,17 @@ def near_orthogonal_copy(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    cert = certify_membership(space)
-    if isinstance(cert, Rejection):
-        raise NotMemberError(f"space not certified: {cert}", cert)
+    cert = require_member(space, "space")
     n = space.n
     s = Fraction(1, k) if k >= 2 else Fraction(0)
-
-    labels = list(space.labels)
-    used = set(labels)
-    copy_labels = []
-    for name in space.labels:
-        cand = name + "*"
-        while cand in used:
-            cand += "*"
-        used.add(cand)
-        copy_labels.append(cand)
-    copy = SpaceDistances(labels=tuple(copy_labels), sq_dist=space.sq_dist)
-
-    total = 2 * n
-    sq = [[Fraction(0)] * total for _ in range(total)]
-    for i in range(n):
-        for j in range(n):
-            sq[i][j] = space.sq_dist[i][j]
-            sq[n + i][n + j] = space.sq_dist[i][j]
-            cross = 2 - 2 * s * cert.g[i][j]
-            sq[i][n + j] = cross
-            sq[n + j][i] = cross
-    combined = SpaceDistances(
-        labels=tuple(labels + copy_labels), sq_dist=tuple(tuple(r) for r in sq)
-    )
+    to_old = [[2 - 2 * s * cert.g[i][t] for i in range(n)] for t in range(n)]
+    combined = extend_space(space, to_old, space.sq_dist, [name + "*" for name in space.labels])
     cc = certify_membership(combined)
     if isinstance(cc, Rejection):  # cannot happen for k >= 1
         raise AssertionError(f"near-orthogonal copy failed certification: {cc}")
+    copy = combined.restrict(range(n, 2 * n))
     iso = PartialIsometry(
-        domain_indices=tuple(range(n)), codomain_indices=tuple(range(n, total))
+        domain_indices=tuple(range(n)), codomain_indices=tuple(range(n, 2 * n))
     )
     return copy, combined, iso
 

@@ -14,11 +14,11 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import MalformedSpaceError, NotMemberError, PrecisionError
+from .errors import MalformedSpaceError, NotMemberError, PrecisionError, SnapError
 from .exact import (
     FracMatrix,
     as_fraction,
@@ -26,6 +26,7 @@ from .exact import (
     freeze_matrix,
     leading_minors,
     pivots_from_minors,
+    snap_sq_dist,
 )
 
 FOUR = Fraction(4)
@@ -217,6 +218,76 @@ def is_member(space: SpaceDistances) -> bool:
     return isinstance(certify_membership(space), GramMatrix)
 
 
+def require_member(space: SpaceDistances, what: str, error=NotMemberError) -> GramMatrix:
+    """Certificate of `space`; raises `error` carrying the rejection witness."""
+    cert = certify_membership(space)
+    if isinstance(cert, Rejection):
+        raise error(f"{what} is not a certified member: {cert}", cert)
+    return cert
+
+
+def extend_space(space: SpaceDistances, to_old, among, names) -> SpaceDistances:
+    """`space` followed by one new point per entry of `names`.
+
+    to_old[t][i] is the squared distance from new point t to old point i,
+    among[t][s] the one between new points t and s (the diagonal is
+    ignored). A name that is already taken gets primes appended. The
+    result is not certified here.
+    """
+    labels = list(space.labels)
+    used = set(labels)
+    for name in names:
+        while name in used:
+            name += "'"
+        used.add(name)
+        labels.append(name)
+    m = len(names)
+    rows = [list(row) + [to_old[t][i] for t in range(m)] for i, row in enumerate(space.sq_dist)]
+    rows += [
+        list(to_old[t]) + [Fraction(0) if s == t else among[t][s] for s in range(m)]
+        for t in range(m)
+    ]
+    return SpaceDistances(labels=tuple(labels), sq_dist=rows)
+
+
+def extension_minors(gram: GramMatrix, prescribed: Sequence[Fraction]):
+    """Leading minors of the Gram matrix bordered by one prescribed point."""
+    n = gram.n
+    r = [polarize(d) for d in prescribed]
+    bordered = [list(gram.g[i]) + [r[i]] for i in range(n)]
+    bordered.append(r + [Fraction(1)])
+    return leading_minors(bordered)
+
+
+def snap_and_certify(
+    build: Callable[[list[Fraction]], SpaceDistances],
+    values: Sequence[float],
+    denom_bits: int,
+    snap=snap_sq_dist,
+) -> tuple[SpaceDistances, list[Fraction]]:
+    """Snap float `values` onto a dyadic grid and certify `build(snapped)`.
+
+    Tries grids of denom_bits times 1, 2, 4 and 8 bits and returns the
+    first certified (space, snapped values). It stops early once a finer
+    grid moves no snapped value, because the same matrix gets the same
+    verdict; from 64 bits up every squared distance >= 2^-12 snaps to the
+    float itself. Raises SnapError when no grid certifies.
+    """
+    snapped = None
+    for rung in range(4):
+        bits = denom_bits << rung
+        finer = [snap(v, bits) for v in values]
+        if finer == snapped:
+            break
+        snapped = finer
+        space = build(snapped)
+        cert = certify_membership(space)
+        if isinstance(cert, GramMatrix):
+            return space, snapped
+        tried = bits
+    raise SnapError(f"snapped matrix failed re-certification up to {tried} bits: {cert}")
+
+
 def embed(space: SpaceDistances, tol: float = 1e-9) -> EmbeddedSpace:
     """Unit-sphere coordinates (n rows in n dimensions) realizing the space.
 
@@ -226,9 +297,7 @@ def embed(space: SpaceDistances, tol: float = 1e-9) -> EmbeddedSpace:
     exactly-PD matrix is degenerate at double precision or the round-trip
     error exceeds tol.
     """
-    cert = certify_membership(space)
-    if isinstance(cert, Rejection):
-        raise NotMemberError(f"space is not a member: {cert}", rejection=cert)
+    cert = require_member(space, "space")
     if space.n == 0:
         return EmbeddedSpace(coords=np.zeros((0, 0)), tol=tol)
     gf = cert.to_float()

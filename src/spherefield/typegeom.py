@@ -19,16 +19,18 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PrecisionError, SearchError, SnapError, UnrealizableTypeError
-from .exact import as_fraction, leading_minors, snap_sq_dist, snap_sq_dist_floor
+from .exact import as_fraction, snap_sq_dist_floor
 from .sampling import random_unit_vectors
 from .metric import (
     EmbeddedSpace,
-    GramMatrix,
     Rejection,
     SpaceDistances,
-    certify_membership,
     embed,
+    extend_space,
+    extension_minors,
     polarize,
+    require_member,
+    snap_and_certify,
 )
 
 
@@ -62,15 +64,6 @@ class TypeSphere:
         return self.center.shape[0]
 
 
-def extension_minors(gram: GramMatrix, prescribed: tuple[Fraction, ...]):
-    """Leading minors of the Gram matrix bordered by one prescribed point."""
-    n = gram.n
-    r = [polarize(d) for d in prescribed]
-    bordered = [list(gram.g[i]) + [r[i]] for i in range(n)]
-    bordered.append(r + [Fraction(1)])
-    return leading_minors(bordered)
-
-
 def type_sphere(
     C: SpaceDistances, dists_to_C, tol: float = 1e-9
 ) -> TypeSphere:
@@ -85,9 +78,7 @@ def type_sphere(
         raise ValueError(f"expected {C.n} prescribed distances, got {len(dists)}")
     if any(d < 0 for d in dists):
         raise ValueError("prescribed squared distances must be nonnegative")
-    cert = certify_membership(C)
-    if isinstance(cert, Rejection):
-        raise UnrealizableTypeError(f"base configuration not certified: {cert}", cert)
+    cert = require_member(C, "base configuration", UnrealizableTypeError)
     minors, stop = extension_minors(cert, dists)
     if stop is not None:
         raise UnrealizableTypeError(
@@ -225,62 +216,28 @@ def solve_theta_for_distance(
     return 0.5 * (lo + hi)
 
 
-def _fresh_labels(base: SpaceDistances, names: list[str]) -> list[str]:
-    used = set(base.labels)
-    out = []
-    for name in names:
-        while name in used:
-            name += "'"
-        used.add(name)
-        out.append(name)
-    return out
+def _over_profile(ts: TypeSphere, among, names) -> SpaceDistances:
+    """C u {new points}: every new point realizes ts's profile, `among`
+    holds the squared distances between new points (diagonal ignored)."""
+    return extend_space(ts.space, [ts.dists] * len(names), among, names)
 
 
-def assemble_extension(
-    ts: TypeSphere, cross_sq: list[list[Fraction]], names: list[str]
-) -> SpaceDistances | Rejection:
-    """Exact space C u {new points}, all new points realizing ts's profile.
-
-    cross_sq[i][j] are the exact squared distances among the new points.
-    Returns the certified space, or the rejection witness when the exact
-    matrix fails certification.
-    """
-    n, m = ts.space.n, len(names)
-    labels = list(ts.space.labels) + _fresh_labels(ts.space, names)
-    rows = [list(r) + [ts.dists[i]] * m for i, r in enumerate(ts.space.sq_dist)]
-    for i in range(m):
-        rows.append(
-            list(ts.dists)
-            + [cross_sq[i][j] if i != j else Fraction(0) for j in range(m)]
-        )
-    space = SpaceDistances(labels=tuple(labels), sq_dist=tuple(tuple(r) for r in rows))
-    cert = certify_membership(space)
-    if isinstance(cert, Rejection):
-        return cert
-    return space
+def _pair(ts: TypeSphere, names):
+    """Build for snap_and_certify: C u {two points} at one snapped distance."""
+    return lambda snapped: _over_profile(ts, [[None, snapped[0]], [snapped[0], None]], names)
 
 
 def realized_pair_space(
-    ts: TypeSphere, x, y, denom_bits: int = 32, max_retries: int = 3
+    ts: TypeSphere, x, y, denom_bits: int = 32
 ) -> tuple[SpaceDistances, Fraction]:
     """Certified exact space C u {x, y}; the x-y distance is snapped to the grid.
 
-    Returns (space, snapped squared distance). Retries with a doubled
-    denominator bound when the snapped matrix fails re-certification.
+    Returns (space, snapped squared distance). Retries on finer grids when
+    the snapped matrix fails re-certification.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d_sq = float(np.sum((x - y) ** 2))
-    bits = denom_bits
-    last = None
-    for _ in range(max_retries + 1):
-        sq = snap_sq_dist(d_sq, bits)
-        got = assemble_extension(ts, [[None, sq], [sq, None]], ["x", "y"])
-        if isinstance(got, SpaceDistances):
-            return got, sq
-        last = got
-        bits *= 2
-    raise SnapError(f"pair space failed re-certification up to {bits // 2} bits: {last}")
+    d_sq = float(np.sum((np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) ** 2))
+    space, (sq,) = snap_and_certify(_pair(ts, ["x", "y"]), [d_sq], denom_bits)
+    return space, sq
 
 
 def rotation_triple(
@@ -310,12 +267,9 @@ def rotation_triple(
         [sq_xy, None, sq_xy],
         [target, sq_xy, None],
     ]
-    got = assemble_extension(ts, cross, ["x", "y", "xt"])
-    if isinstance(got, Rejection):
-        raise UnrealizableTypeError(
-            f"rotation triple failed exact certification: {got}", got
-        )
-    return theta, got
+    triple = _over_profile(ts, cross, ["x", "y", "xt"])
+    require_member(triple, "rotation triple", UnrealizableTypeError)
+    return theta, triple
 
 
 @dataclass(frozen=True)
@@ -345,7 +299,9 @@ def connectedness_witness(
     span(C u {a, b}), with exact rational distances; certify C u {a, b, z}.
 
     Rejection-samples directions; the angle condition is an open non-empty
-    cap intersection because the angle between a and b is below phi.
+    cap intersection because the angle between a and b is below phi. A draw
+    whose snapped distances no grid of `snap_and_certify` certifies is
+    skipped.
     """
     if not (0.0 < phi < math.pi):
         raise ValueError("phi must lie in (0, pi)")
@@ -367,7 +323,17 @@ def connectedness_witness(
     half = phi / 2.0
     chord_bound = 2.0 * ts.radius * math.sin(phi / 4.0)
 
-    bits = denom_bits
+    def build_triple(snapped):
+        sq_za, sq_zb, sq_ab = snapped
+        cross = [
+            [None, sq_ab, sq_za],
+            [sq_ab, None, sq_zb],
+            [sq_za, sq_zb, None],
+        ]
+        return _over_profile(ts, cross, ["a", "b", "z"])
+
+    build = _pair(ts, ["a", "z"]) if degenerate else build_triple
+
     draws = 0
     while draws < max_draws:
         block = random_unit_vectors(rng, 64, 3)
@@ -382,33 +348,22 @@ def connectedness_witness(
             sol, *_ = np.linalg.lstsq(span_rows.T, z, rcond=None)
             if np.linalg.norm(z - span_rows.T @ sol) <= 1e-6:
                 continue
-            sq_za = snap_sq_dist(float(np.sum((z - a) ** 2)), bits)
-            sq_zb = snap_sq_dist(float(np.sum((z - b) ** 2)), bits)
-            if degenerate:
-                cross = [[None, sq_za], [sq_za, None]]
-                got = assemble_extension(ts, cross, ["a", "z"])
-                sq_ab = Fraction(0)
-            else:
-                sq_ab = snap_sq_dist(float(np.sum((a - b) ** 2)), bits)
-                cross = [
-                    [None, sq_ab, sq_za],
-                    [sq_ab, None, sq_zb],
-                    [sq_za, sq_zb, None],
-                ]
-                got = assemble_extension(ts, cross, ["a", "b", "z"])
-            if isinstance(got, Rejection):
-                if bits < denom_bits * 8:
-                    bits *= 2  # finer grid; the float configuration has PD margin
+            values = [float(np.sum((z - a) ** 2)), float(np.sum((z - b) ** 2))]
+            if not degenerate:
+                values.append(float(np.sum((a - b) ** 2)))
+            try:
+                space, snapped = snap_and_certify(build, values, denom_bits)
+            except SnapError:
                 continue
             return ConnectWitness(
                 point=z,
-                space=got,
+                space=space,
                 angle_a=ang_a,
                 angle_b=ang_b,
                 chord_bound=chord_bound,
-                sq_za=sq_za,
-                sq_zb=sq_zb,
-                sq_ab=sq_ab,
+                sq_za=snapped[0],
+                sq_zb=snapped[1],
+                sq_ab=Fraction(0) if degenerate else snapped[2],
             )
     raise SearchError(
         f"no witness within {max_draws} draws; phi too tight for the rounding grid"
@@ -429,7 +384,7 @@ class SphereChain:
 
 
 def connect_by_chain(
-    ts: TypeSphere, a, b, step_sq, denom_bits: int = 32, max_retries: int = 3
+    ts: TypeSphere, a, b, step_sq, denom_bits: int = 32
 ) -> SphereChain:
     """Join a to b along their great circle with jumps of squared length
     at most step_sq; each consecutive pair is emitted as a certified
@@ -470,24 +425,16 @@ def connect_by_chain(
         points.append(ts.center + rho * u @ ts.orth_basis)
     points.append(b)
 
+    def snap(d_sq: float, bits: int) -> Fraction:
+        return min(snap_sq_dist_floor(d_sq, bits), step_sq)
+
     links: list[SpaceDistances] = []
     link_sq: list[Fraction] = []
     for p, q in zip(points, points[1:]):
         d_sq = float(np.sum((p - q) ** 2))
-        bits = denom_bits
-        got = None
-        for _ in range(max_retries + 1):
-            sq = snap_sq_dist_floor(d_sq, bits)
-            if sq > step_sq:
-                sq = step_sq
-            got = assemble_extension(ts, [[None, sq], [sq, None]], ["u", "v"])
-            if isinstance(got, SpaceDistances):
-                links.append(got)
-                link_sq.append(sq)
-                break
-            bits *= 2
-        else:
-            raise SnapError(f"chain link failed re-certification: {got}")
+        link, (sq,) = snap_and_certify(_pair(ts, ["u", "v"]), [d_sq], denom_bits, snap=snap)
+        links.append(link)
+        link_sq.append(sq)
     return SphereChain(points=tuple(points), links=tuple(links), link_sq=tuple(link_sq))
 
 

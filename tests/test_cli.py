@@ -215,6 +215,22 @@ def test_mixing_invalid_event_index_exits_one(one_file, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--dists", "1/0"],
+        ["witness", "--kind", "chain", "--step-sq", "1/0"],
+        ["witness", "--target-sq", "1/0"],
+        ["mixing", "--space", "ONE", "--event", "0>1/0"],
+    ],
+    ids=["dists", "step-sq", "target-sq", "event"],
+)
+def test_zero_denominator_exits_one(argv, one_file, tmp_path, capsys):
+    argv = [one_file if a == "ONE" else a for a in argv]
+    assert main(argv + ["--samples", "100", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # --- orders ---------------------------------------------------------------------
 
 def test_orders_rejects_uniform_for_isoceles(iso_file, tmp_path, capsys):

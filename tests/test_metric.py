@@ -15,14 +15,27 @@ from spherefield import (
     NotMemberError,
     PartialIsometry,
     Rejection,
+    SnapError,
+    UnrealizableTypeError,
     certify_membership,
     embed,
     gram_from_distances,
+    near_orthogonal_copy,
     space_from_sq,
     verify_isometry,
 )
 from spherefield.builder import random_extension
-from spherefield.metric import load_space, save_space, space_from_json, space_hash, space_to_json
+from spherefield.exact import snap_sq_dist
+from spherefield.metric import (
+    extend_space,
+    load_space,
+    require_member,
+    save_space,
+    snap_and_certify,
+    space_from_json,
+    space_hash,
+    space_to_json,
+)
 
 
 # --- construction and validation ------------------------------------------------
@@ -273,3 +286,88 @@ def test_load_rejects_invalid_json(tmp_path):
 def test_space_from_json_rejects_float_entries():
     with pytest.raises(MalformedSpaceError):
         space_from_json({"labels": ["a", "b"], "sq_dist": [[0.0, 1.5], [1.5, 0.0]]})
+
+
+# --- extension helpers ------------------------------------------------------------
+
+def test_require_member_returns_certificate_or_raises(equilateral):
+    assert require_member(equilateral, "space").pd_certificate is not None
+    anti = space_from_sq([[0, 4], [4, 0]])
+    with pytest.raises(UnrealizableTypeError) as info:
+        require_member(anti, "base", UnrealizableTypeError)
+    assert info.value.rejection == certify_membership(anti)
+    assert str(info.value).startswith("base is not a certified member")
+
+
+def test_extend_space_layout_and_label_primes(equilateral):
+    to_old = [[F(1), F(2), F(3, 2)], [F(1, 2), F(1, 2), F(1, 2)], [F(1)] * 3]
+    among = [[None, F(5, 4), F(1)], [F(5, 4), None, F(3, 4)], [F(1), F(3, 4), None]]
+    ext = extend_space(equilateral, to_old, among, ["p0", "q", "p0"])
+    assert ext.labels == ("p0", "p1", "p2", "p0'", "q", "p0''")
+    assert ext.restrict(range(3)).sq_dist == equilateral.sq_dist
+    for t in range(3):
+        assert list(ext.sq_dist[3 + t][:3]) == to_old[t]
+        assert [ext.sq_dist[i][3 + t] for i in range(3)] == to_old[t]
+        for u in range(3):
+            assert ext.sq_dist[3 + t][3 + u] == (0 if t == u else among[t][u])
+
+
+def test_extend_space_rejects_asymmetric_new_block(equilateral):
+    with pytest.raises(MalformedSpaceError, match="symmetric"):
+        extend_space(equilateral, [[F(1)] * 3] * 2, [[None, F(1)], [F(2), None]], ["x", "y"])
+
+
+def test_near_orthogonal_copy_appends_primes_on_collision():
+    s = space_from_sq([[0, 1], [1, 0]], labels=["a", "a*"])
+    copy, combined, _ = near_orthogonal_copy(s, 2)
+    assert copy.labels == ("a*'", "a**")
+    assert combined.labels == ("a", "a*", "a*'", "a**")
+    assert copy.sq_dist == s.sq_dist
+
+
+def _always_rejected(seen):
+    def build(snapped):
+        seen.append(snapped)
+        return space_from_sq([[0, 4], [4, 0]])  # antipodal pair: never a member
+    return build
+
+
+@pytest.mark.parametrize(
+    "value, denom_bits, rungs",
+    [
+        (0.1, 32, [32, 64]),          # >= 2^-12: exact at 64 bits, so 128 moves nothing
+        (0.5, 32, [32]),              # already on the first grid
+        (2.0 ** -40, 32, [32, 64]),   # clamped to 2^-32, then exact at 64 bits
+        (2.0 ** -40, 8, [8, 16, 32, 64]),  # every finer grid moves it
+    ],
+)
+def test_snap_and_certify_stops_when_grid_moves_nothing(value, denom_bits, rungs):
+    seen = []
+    with pytest.raises(SnapError, match=f"up to {rungs[-1]} bits"):
+        snap_and_certify(_always_rejected(seen), [value], denom_bits)
+    assert seen == [[snap_sq_dist(value, bits)] for bits in rungs]
+
+
+def test_snap_and_certify_returns_first_certified_grid():
+    def pair(snapped):
+        return space_from_sq([[0, snapped[0]], [snapped[0], 0]])
+
+    space, snapped = snap_and_certify(pair, [0.1], 32)
+    assert snapped == [snap_sq_dist(0.1, 32)]
+    assert space.sq_dist[0][1] == snapped[0]
+
+    def fine_only(snapped):  # rejects every value on the 32-bit grid
+        d = snapped[0] if snapped[0].denominator > 2**32 else F(4)
+        return space_from_sq([[0, d], [d, 0]])
+
+    space, snapped = snap_and_certify(fine_only, [0.1], 32)
+    assert snapped == [F(0.1)]
+    assert space.sq_dist[0][1] == F(0.1)
+
+
+def test_snap_and_certify_uses_the_given_snap():
+    seen = []
+    with pytest.raises(SnapError):
+        snap_and_certify(_always_rejected(seen), [0.2, 0.3], 4, snap=lambda v, bits: min(
+            snap_sq_dist(v, bits), F(1, 8)))
+    assert seen == [[F(1, 8), F(1, 8)]]  # the cap leaves nothing for a finer grid to move

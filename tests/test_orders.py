@@ -1,6 +1,7 @@
 """Sort-induced order distributions: exact values, uniformity, support."""
 
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -163,17 +164,18 @@ def test_uniformity_needs_enough_samples(iso_model):
         uniformity_test(dist)
 
 
-def test_uniformity_k7_matches_scipy_chisquare():
-    # 5040 cells at 5 expected draws each: the chi-square over the counts in
+@pytest.mark.parametrize("k", range(2, 9))
+def test_uniformity_matches_scipy_chisquare(k):
+    # k! cells at 5 expected draws each: the chi-square over the counts in
     # sorted key order, counted here straight from the draws
     rng = np.random.default_rng(63)
     m = build_model(random_extension(empty_space(), 8, rng), seed=64)
-    indices = (6, 1, 3, 0, 7, 2, 5)
-    n = 5 * 5040
+    indices = (6, 1, 3, 0, 7, 2, 5, 4)[:k]
+    n = 5 * math.factorial(k)
     dist = order_distribution(m, indices, n)
     order = np.argsort(sample(m, n)[:, indices], axis=1, kind="stable")
     seen = Counter("".join(str(p + 1) for p in row) for row in order.tolist())
-    keys = sorted("".join(str(p + 1) for p in perm) for perm in itertools.permutations(range(7)))
+    keys = sorted("".join(str(p + 1) for p in perm) for perm in itertools.permutations(range(k)))
     expect = stats.chisquare([seen[key] for key in keys])
     assert uniformity_test(dist) == (float(expect[0]), float(expect[1]))
 
