@@ -3,9 +3,10 @@
 Amalgamation is free: the two sides are glued exactly along the common
 part and the residual components are placed in mutually orthogonal
 complements of its span, so every cross inner product equals the inner
-product of the projections onto that span. Those projections are solved
-over the rationals, which makes the amalgam exact with no rounding and
-never identifies points outside the common part.
+product of the projections onto that span. Every such product comes from
+one exact Schur complement over the Gram matrix of the common part, which
+makes the amalgam exact with no rounding and never identifies points
+outside the common part.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SnapError, UnrealizableTypeError
-from .exact import as_fraction, solve_posdef
+from .exact import as_fraction, schur_complement
 from .metric import (
     PartialIsometry,
     Rejection,
@@ -39,6 +40,19 @@ from .sampling import random_unit_vectors
 
 # fresh draws in random_extension before it gives up
 RESAMPLES = 5
+
+
+def _projection_products(g_span, rows):
+    """-<proj x, proj y> for every pair of `rows`, projected onto a span.
+
+    g_span is the exact Gram matrix of a basis of the span and rows[i] the
+    inner products of point i with that basis. One Schur complement of
+    [[g_span, rows^T], [rows, 0]] gives every product at once.
+    """
+    k = len(g_span)
+    bordered = [list(g_span[a]) + [r[a] for r in rows] for a in range(k)]
+    bordered += [list(r) + [Fraction(0)] * len(rows) for r in rows]
+    return schur_complement(bordered, k)
 
 
 @dataclass(frozen=True)
@@ -76,25 +90,15 @@ def amalgamate(problem: AmalgamProblem) -> SpaceDistances:
     """
     left, right = problem.left, problem.right
     cl, cr = problem.common_left, problem.common_right
-    k = len(cl)
     right_only = [j for j in range(right.n) if j not in set(cr)]
 
     gl = gram_entries(left)
     gr = gram_entries(right)
-    g_common = [[gl[cl[i]][cl[j]] for j in range(k)] for i in range(k)]
-    common_of_left = {cl[t]: cr[t] for t in range(k)}
-
-    to_old = []
-    for j in right_only:
-        # projection weights of the right-only point onto span(common)
-        w = solve_posdef(g_common, [gr[j][cr[t]] for t in range(k)]) if k else []
-        row = []
-        for i in range(left.n):
-            if i in common_of_left:
-                row.append(right.sq_dist[j][common_of_left[i]])
-            else:
-                row.append(2 - 2 * sum((gl[i][cl[t]] * w[t] for t in range(k)), Fraction(0)))
-        to_old.append(row)
+    # rows over the common part: every left point, then every right-only point
+    rows = [[gl[i][c] for c in cl] for i in range(left.n)]
+    rows += [[gr[j][c] for c in cr] for j in right_only]
+    s = _projection_products([[gl[a][b] for b in cl] for a in cl], rows)
+    to_old = [[2 + 2 * s[left.n + t][i] for i in range(left.n)] for t in range(len(right_only))]
     among = [[right.sq_dist[a][b] for b in right_only] for a in right_only]
     out = extend_space(left, to_old, among, [right.labels[j] for j in right_only])
     cert = certify_membership(out)
@@ -212,19 +216,15 @@ def no_algebraicity_witnesses(
     require_member(space, "space")
 
     g = gram_entries(space)
-    kf = len(fixed)
-    g_fixed = [[g[fixed[i]][fixed[j]] for j in range(kf)] for i in range(kf)]
-    rhs = [g[x_idx][f] for f in fixed]
-    w = solve_posdef(g_fixed, rhs) if kf else []
-    rho_sq = 1 - sum(rhs[i] * w[i] for i in range(kf))  # exact Schur residual of x over fixed
+    # rows over the fixed part: x, then every point of the space
+    rows = [[g[x_idx][f] for f in fixed]] + [[g[p][f] for f in fixed] for p in range(space.n)]
+    s = _projection_products([[g[a][b] for b in fixed] for a in fixed], rows)
+    rho_sq = 1 + s[0][0]  # exact Schur residual of x over fixed
     assert rho_sq > 0
     sq_between = 2 * rho_sq
 
     n = space.n
-    cross_to_old = []
-    for p in range(n):
-        inner = sum(w[i] * g[fixed[i]][p] for i in range(kf)) if kf else Fraction(0)
-        cross_to_old.append(2 - 2 * inner)
+    cross_to_old = [2 + 2 * s[0][1 + p] for p in range(n)]
 
     combined = extend_space(
         space, [cross_to_old] * m, [[sq_between] * m] * m, [f"orbit{t}" for t in range(m)]

@@ -77,11 +77,19 @@ def _out_path(cfg: ExperimentConfig, suffix: str) -> str:
     return os.path.join(cfg.out, f"{cfg.command}_{cfg.hash()[:12]}{suffix}")
 
 
-def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
+def _parse_fraction(text: str, flag: str) -> Fraction:
+    """Exact rational from flag text; a malformed value raises ValueError naming both."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag}: {text.strip()!r} is not a finite rational number") from None
+
+
+def _parse_fraction_list(text: str, flag: str) -> tuple[Fraction, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(Fraction(part.strip()) for part in text.split(","))
+    return tuple(_parse_fraction(part, flag) for part in text.split(","))
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -101,7 +109,7 @@ def _parse_event(text: str) -> CylinderEvent:
         for op in ("<", ">"):
             if op in part:
                 idx, thr = part.split(op, 1)
-                constraints.append((int(idx), op, Fraction(thr.strip())))
+                constraints.append((int(idx), op, _parse_fraction(thr, "--event")))
                 break
         else:
             raise ValueError(f"constraint {part!r} must contain < or >")
@@ -189,7 +197,7 @@ def _realize_two(ts, rng, min_perp: float = 0.05):
 
 def cmd_witness(cfg: ExperimentConfig) -> int:
     space = load_space(cfg.inputs["space"]) if "space" in cfg.inputs else empty_space()
-    dists = _parse_fraction_list(cfg.params["dists"])
+    dists = _parse_fraction_list(cfg.params["dists"], "--dists")
     ts = typegeom.type_sphere(space, dists, tol=cfg.params["tol"])
     rng = np.random.default_rng(cfg.seed)
     kind = cfg.params["kind"]
@@ -200,7 +208,7 @@ def cmd_witness(cfg: ExperimentConfig) -> int:
         pair, sq_xy = typegeom.realized_pair_space(ts, x, y, denom_bits=bits)
         eps = typegeom.epsilon_threshold(ts, x, y)
         if cfg.params["target_sq"]:
-            target = Fraction(cfg.params["target_sq"])
+            target = _parse_fraction(cfg.params["target_sq"], "--target-sq")
         else:
             target = snap_sq_dist_floor(eps * eps / 2.0, bits)
         theta, triple = typegeom.rotation_triple(ts, x, y, sq_xy, target)
@@ -250,7 +258,7 @@ def cmd_witness(cfg: ExperimentConfig) -> int:
 
     if kind == "chain":
         x, y = _realize_two(ts, rng)
-        step_sq = Fraction(cfg.params["step_sq"])
+        step_sq = _parse_fraction(cfg.params["step_sq"], "--step-sq")
         chain = typegeom.connect_by_chain(ts, x, y, step_sq, denom_bits=bits)
         directory = _out_path(cfg, "")
         os.makedirs(directory, exist_ok=True)
@@ -496,7 +504,6 @@ def main(argv=None) -> int:
         ValueError,
         IndexError,
         KeyError,
-        ZeroDivisionError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

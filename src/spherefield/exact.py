@@ -3,7 +3,10 @@
 Positive-definiteness is decided over the rationals, never in floating
 point: the leading principal minors are computed with fraction-free
 (Bareiss) elimination on an integer-scaled copy of the matrix, so the only
-big-number operations are integer multiply and exact divide.
+big-number operations are integer multiply and exact divide. The same
+elimination, stopped after k steps, gives the exact Schur complement over
+the leading k x k block: every projection onto a common span that the
+constructions need comes from one such complement.
 """
 
 from __future__ import annotations
@@ -46,6 +49,34 @@ def _integer_scaled(g: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], i
     return m, scale
 
 
+def _eliminate(a: list[list[int]], steps: int) -> tuple[list[int], int | None]:
+    """Run `steps` symmetric Bareiss steps on the integer matrix `a`, in place.
+
+    Pivot k is det(a[:k+1, :k+1]). After k steps every entry of the trailing
+    block a[k:, k:] is the determinant of the leading k x k block bordered by
+    its row and column (Sylvester's identity), so each division is exact.
+    Returns (pivots, stop): stop is the index of the first non-positive
+    pivot, where elimination halts, or None.
+    """
+    n = len(a)
+    pivots: list[int] = []
+    prev = 1
+    for k in range(steps):
+        piv = a[k][k]
+        pivots.append(piv)
+        if piv <= 0:
+            return pivots, k
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            row_i, row_k = a[i], a[k]
+            for j in range(i, n):
+                row_i[j] = (row_i[j] * piv - aik * row_k[j]) // prev
+            for j in range(k + 1, i):
+                row_i[j] = a[j][i]
+        prev = piv
+    return pivots, None
+
+
 def leading_minors(g: Sequence[Sequence[Fraction]]) -> tuple[list[Fraction], int | None]:
     """Leading principal minors of a symmetric rational matrix.
 
@@ -55,26 +86,24 @@ def leading_minors(g: Sequence[Sequence[Fraction]]) -> tuple[list[Fraction], int
     every minor is positive (the matrix is positive definite by Sylvester's
     criterion).
     """
-    n = len(g)
-    if n == 0:
-        return [], None
     a, scale = _integer_scaled(g)
-    minors: list[Fraction] = []
-    prev = 1
-    for k in range(n):
-        piv = a[k][k]
-        minors.append(Fraction(piv, scale ** (k + 1)))
-        if piv <= 0:
-            return minors, k
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(i, n):
-                row_i[j] = (row_i[j] * piv - aik * row_k[j]) // prev
-            for j in range(k + 1, i):
-                row_i[j] = a[j][i]
-        prev = piv
-    return minors, None
+    pivots, stop = _eliminate(a, len(a))
+    return [Fraction(p, scale ** (k + 1)) for k, p in enumerate(pivots)], stop
+
+
+def schur_complement(g: Sequence[Sequence[Fraction]], k: int) -> list[list[Fraction]]:
+    """Exact g[k:,k:] - g[k:,:k] g[:k,:k]^-1 g[:k,k:] of a symmetric rational g.
+
+    Runs k elimination steps; each trailing entry is then divided, once, by
+    the scaled determinant of the leading block. Raises ArithmeticError when
+    g[:k,:k] is not positive definite.
+    """
+    a, scale = _integer_scaled(g)
+    pivots, stop = _eliminate(a, k)
+    if stop is not None:
+        raise ArithmeticError(f"leading block not positive definite: pivot {stop} is <= 0")
+    den = scale * (pivots[-1] if k else 1)
+    return [[Fraction(v, den) for v in row[k:]] for row in a[k:]]
 
 
 def pivots_from_minors(minors: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -85,48 +114,6 @@ def pivots_from_minors(minors: Sequence[Fraction]) -> tuple[Fraction, ...]:
         out.append(m / prev)
         prev = m
     return tuple(out)
-
-
-def ldlt(g: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Full rational LDL^T of a positive definite matrix.
-
-    Returns (L, d) with unit lower-triangular L and positive pivots d such
-    that L diag(d) L^T equals g exactly. Raises ArithmeticError on a
-    non-positive pivot; use `leading_minors` when rejection is an expected
-    outcome.
-    """
-    n = len(g)
-    L = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    d: list[Fraction] = []
-    for j in range(n):
-        dj = g[j][j] - sum(L[j][k] * L[j][k] * d[k] for k in range(j))
-        if dj <= 0:
-            raise ArithmeticError(f"non-positive pivot {dj} at index {j}")
-        d.append(dj)
-        for i in range(j + 1, n):
-            s = g[i][j] - sum(L[i][k] * L[j][k] * d[k] for k in range(j))
-            L[i][j] = s / dj
-    return L, d
-
-
-def solve_posdef(g: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Exact solution of g x = rhs for symmetric positive definite rational g."""
-    L, d = ldlt(g)
-    n = len(rhs)
-    y = list(rhs)
-    for i in range(n):
-        y[i] -= sum(L[i][k] * y[k] for k in range(i))
-    for i in range(n):
-        y[i] /= d[i]
-    for i in reversed(range(n)):
-        y[i] -= sum(L[k][i] * y[k] for k in range(i + 1, n))
-    return y
-
-
-def snap_dyadic(x: float, bits: int) -> Fraction:
-    """Round a float to the nearest multiple of 2^-bits."""
-    q = 1 << bits
-    return Fraction(round(x * q), q)
 
 
 def snap_sq_dist(x: float, bits: int) -> Fraction:

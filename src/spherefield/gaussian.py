@@ -23,7 +23,9 @@ from .metric import (
     Rejection,
     SpaceDistances,
     certify_membership,
+    embed,
     extend_space,
+    gram_entries,
     require_member,
     verify_isometry,
 )
@@ -71,17 +73,14 @@ class GaussianModel:
 
 
 def build_model(space: SpaceDistances, seed: int = 0) -> GaussianModel:
-    """Model of the field on a certified space; raises on non-members and on
-    exact-PD matrices that degenerate at double precision."""
-    cert = require_member(space, "space")
-    sf = cert.to_float()
-    try:
-        chol = np.linalg.cholesky(sf) if space.n else np.zeros((0, 0))
-    except np.linalg.LinAlgError as exc:
-        raise PrecisionError("covariance is degenerate at double precision") from exc
-    if space.n and np.max(np.abs(chol @ chol.T - sf)) > 1e-10:
+    """Model of the field on a certified space; the factor is `embed`'s
+    coordinates. Raises on non-members and on exact-PD matrices that
+    degenerate at double precision."""
+    chol = embed(space).coords
+    model = GaussianModel(space=space, sigma=gram_entries(space), chol=chol, seed=seed)
+    if space.n and np.max(np.abs(model.chol @ model.chol.T - model.sigma_float())) > 1e-10:
         raise PrecisionError("factor round-trip exceeds 1e-10")
-    return GaussianModel(space=space, sigma=cert.g, chol=chol, seed=seed)
+    return model
 
 
 def sample(model: GaussianModel, count: int, row_offset: int = 0) -> np.ndarray:
@@ -332,18 +331,6 @@ def kl_zero_mean(sigma_a: np.ndarray, sigma_b: np.ndarray) -> float:
         raise ValueError("covariances must be positive definite")
     tr = float(np.trace(np.linalg.solve(sigma_b, sigma_a)))
     return float(0.5 * (tr - d + logdet_b - logdet_a))
-
-
-def tv_discretized_2d(c: float, half_width: float = 8.0, n: int = 801) -> float:
-    """Total variation between correlated and independent bivariate normals,
-    by L1 quadrature of the densities on a grid (test-grade accuracy)."""
-    xs = np.linspace(-half_width, half_width, n)
-    h = xs[1] - xs[0]
-    X, Y = np.meshgrid(xs, xs)
-    q = np.exp(-0.5 * (X * X + Y * Y)) / (2 * np.pi)
-    det = 1.0 - c * c
-    p = np.exp(-0.5 * (X * X - 2 * c * X * Y + Y * Y) / det) / (2 * np.pi * math.sqrt(det))
-    return 0.5 * float(np.sum(np.abs(p - q))) * h * h
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from exact_oracle import solve_posdef
 from spherefield import (
     AmalgamProblem,
     NotMemberError,
@@ -24,7 +25,6 @@ from spherefield import (
     space_from_sq,
     verify_isometry,
 )
-from spherefield.exact import solve_posdef
 from spherefield.metric import GramMatrix, certify_membership, gram_entries
 
 
@@ -59,27 +59,46 @@ def test_amalgam_projection_arithmetic():
     assert out.sq_dist[1][2] == F(3, 2)
 
 
+def _shuffled(space, a_size, rng):
+    """`space` reordered at random with a non-common point first, and the
+    new position of each of its common points 0..a_size-1."""
+    order = rng.permutation(space.n)
+    lead = next(p for p, i in enumerate(order) if i >= a_size)
+    order = [int(i) for i in np.roll(order, -lead)]
+    return space.restrict(order), [order.index(c) for c in range(a_size)]
+
+
 def test_amalgam_restrictions_and_strongness_random():
     rng = np.random.default_rng(19)
+    shuffle_rng = np.random.default_rng(20)
     for _ in range(40):
         a_size = int(rng.integers(0, 3))
         base = random_extension(empty_space(), a_size, rng)
         left = random_extension(base, int(rng.integers(1, 4)), rng)
         right = random_extension(base, int(rng.integers(1, 4)), rng)
         common = tuple(range(a_size))
-        out = amalgamate(
-            AmalgamProblem(left=left, right=right, common_left=common, common_right=common)
-        )
-        # left block reproduced exactly, entry for entry
-        assert out.restrict(range(left.n)).sq_dist == left.sq_dist
-        # right reproduced exactly through its identification
-        right_pos = list(common) + list(range(left.n, out.n))
-        assert out.restrict(right_pos).sq_dist == right.sq_dist
-        # strong: no left-only point collapses onto a right-only point
-        for i in range(a_size, left.n):
-            for j in range(left.n, out.n):
-                assert out.sq_dist[i][j] > 0
-        assert isinstance(certify_membership(out), GramMatrix)
+        # second input: common points at shuffled, non-leading positions in both
+        left_s, pos_l = _shuffled(left, a_size, shuffle_rng)
+        right_s, pos_r = _shuffled(right, a_size, shuffle_rng)
+        ids = [int(c) for c in shuffle_rng.permutation(a_size)]
+        for lt, rt, cl, cr in (
+            (left, right, common, common),
+            (left_s, right_s, [pos_l[c] for c in ids], [pos_r[c] for c in ids]),
+        ):
+            out = amalgamate(AmalgamProblem(left=lt, right=rt, common_left=cl, common_right=cr))
+            # left block reproduced exactly, entry for entry
+            assert out.restrict(range(lt.n)).sq_dist == lt.sq_dist
+            # right reproduced exactly through its identification
+            right_only = [j for j in range(rt.n) if j not in cr]
+            right_pos = [cl[cr.index(j)] if j in cr else lt.n + right_only.index(j)
+                         for j in range(rt.n)]
+            assert out.restrict(right_pos).sq_dist == rt.sq_dist
+            # strong: no left-only point collapses onto a right-only point
+            for i in range(lt.n):
+                if i not in cl:
+                    for j in range(lt.n, out.n):
+                        assert out.sq_dist[i][j] > 0
+            assert isinstance(certify_membership(out), GramMatrix)
 
 
 def test_amalgam_rejects_non_isometric_identification():

@@ -216,19 +216,21 @@ def test_mixing_invalid_event_index_exits_one(one_file, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, flag",
     [
-        ["witness", "--dists", "1/0"],
-        ["witness", "--kind", "chain", "--step-sq", "1/0"],
-        ["witness", "--target-sq", "1/0"],
-        ["mixing", "--space", "ONE", "--event", "0>1/0"],
+        (["witness", "--dists", "1/0"], "--dists"),
+        (["witness", "--kind", "chain", "--step-sq", "1/0"], "--step-sq"),
+        (["witness", "--target-sq", "1/0"], "--target-sq"),
+        (["mixing", "--space", "ONE", "--event", "0>1/0"], "--event"),
     ],
     ids=["dists", "step-sq", "target-sq", "event"],
 )
-def test_zero_denominator_exits_one(argv, one_file, tmp_path, capsys):
+def test_zero_denominator_exits_one(argv, flag, one_file, tmp_path, capsys):
     argv = [one_file if a == "ONE" else a for a in argv]
     assert main(argv + ["--samples", "100", "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert flag in err and "1/0" in err
 
 
 # --- orders ---------------------------------------------------------------------

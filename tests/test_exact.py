@@ -1,18 +1,17 @@
-"""The rational linear algebra layer: minors, LDLT, solves, snapping."""
+"""The rational linear algebra layer: minors, Schur complements, snapping."""
 
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from exact_oracle import ldlt, snap_dyadic, solve_posdef
 from spherefield.exact import (
-    ldlt,
     leading_minors,
     pivots_from_minors,
-    snap_dyadic,
+    schur_complement,
     snap_sq_dist,
     snap_sq_dist_floor,
-    solve_posdef,
 )
 
 
@@ -82,6 +81,37 @@ def test_solve_posdef_exact():
         x = solve_posdef(g, rhs)
         for i in range(n):
             assert sum(g[i][j] * x[j] for j in range(n)) == rhs[i]
+
+
+def test_schur_complement_matches_oracle_solves():
+    # g22 - g21 g11^-1 g12 through the Bareiss kernel and through LDL^T solves
+    rng = np.random.default_rng(4)
+    found = 0
+    while found < 25:
+        n = int(rng.integers(1, 7))
+        g = random_rational_symmetric(rng, n)
+        if leading_minors(g)[1] is not None:
+            continue
+        found += 1
+        for k in range(n + 1):
+            g11 = [row[:k] for row in g[:k]]
+            w = {j: solve_posdef(g11, [g[a][j] for a in range(k)]) for j in range(k, n)}
+            expect = [[g[i][j] - sum((g[i][a] * w[j][a] for a in range(k)), F(0))
+                       for j in range(k, n)] for i in range(k, n)]
+            assert schur_complement(g, k) == expect
+
+
+def test_schur_complement_edge_cases():
+    g = [[F(1), F(1, 3)], [F(1, 3), F(1, 2)]]
+    assert schur_complement(g, 0) == g
+    assert schur_complement(g, 2) == []
+    assert schur_complement(g, 1) == [[F(1, 2) - F(1, 9)]]
+    singular = [[F(1), F(1), F(0)], [F(1), F(1), F(0)], [F(0), F(0), F(1)]]
+    assert schur_complement(singular, 1) == [[F(0), F(0)], [F(0), F(1)]]
+    with pytest.raises(ArithmeticError):
+        schur_complement(singular, 2)
+    with pytest.raises(ArithmeticError):
+        schur_complement([[F(-1), F(0)], [F(0), F(1)]], 1)
 
 
 def test_empty_matrix_is_trivially_pd():

@@ -23,7 +23,7 @@ from spherefield import (
     space_from_sq,
     verify_isometry,
 )
-from spherefield.gaussian import energy_distance_test, tv_discretized_2d
+from spherefield.gaussian import energy_distance_test
 from spherefield.orthant import orthant_2d
 
 
@@ -255,6 +255,18 @@ def test_copy_is_exactly_isometric(equilateral):
 
 
 # --- KL, TV, mixing -------------------------------------------------------------
+
+def tv_discretized_2d(c: float, half_width: float = 8.0, n: int = 801) -> float:
+    """Total variation between correlated and independent bivariate normals,
+    by L1 quadrature of the densities on a grid (test-grade accuracy)."""
+    xs = np.linspace(-half_width, half_width, n)
+    h = xs[1] - xs[0]
+    X, Y = np.meshgrid(xs, xs)
+    q = np.exp(-0.5 * (X * X + Y * Y)) / (2 * np.pi)
+    det = 1.0 - c * c
+    p = np.exp(-0.5 * (X * X - 2 * c * X * Y + Y * Y) / det) / (2 * np.pi * math.sqrt(det))
+    return 0.5 * float(np.sum(np.abs(p - q))) * h * h
+
 
 def test_kl_zero_for_identical():
     s = np.array([[1.0, 0.3], [0.3, 1.0]])
