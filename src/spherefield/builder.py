@@ -24,7 +24,7 @@ from .metric import (
     PartialIsometry,
     Rejection,
     SpaceDistances,
-    certify_membership,
+    _store_certificate,
     embed,
     extend_space,
     extension_minors,
@@ -101,9 +101,9 @@ def amalgamate(problem: AmalgamProblem) -> SpaceDistances:
     to_old = [[2 + 2 * s[left.n + t][i] for i in range(left.n)] for t in range(len(right_only))]
     among = [[right.sq_dist[a][b] for b in right_only] for a in right_only]
     out = extend_space(left, to_old, among, [right.labels[j] for j in right_only])
-    cert = certify_membership(out)
-    if isinstance(cert, Rejection):  # cannot happen: orthogonal residuals stay independent
-        raise AssertionError(f"free amalgam failed certification: {cert}")
+    # right-only residuals are orthogonal to span(left): pivots of left, then over common
+    over_common = require_member(right.restrict(list(cr) + right_only), "right").pd_certificate
+    _store_certificate(out, require_member(left, "left").pd_certificate + over_common[len(cr):])
     return out
 
 
@@ -114,8 +114,9 @@ def random_extension(
     denom_bits: int = 32,
 ) -> SpaceDistances:
     """Adjoin k points sampled uniformly on the unit sphere of an (n+k)-dim
-    embedding; new distances are snapped to the dyadic grid and the result
-    is re-certified (retrying with a finer grid, then fresh draws).
+    embedding of `space`, which `embed` requires to be a certified member;
+    new distances are snapped to the dyadic grid and the result is
+    certified (retrying with a finer grid, then fresh draws).
     """
     if k == 0:
         return space
@@ -123,8 +124,7 @@ def random_extension(
         raise ValueError("k must be nonnegative")
     n = space.n
     padded = np.zeros((n, n + k))
-    if n:
-        padded[:, :n] = embed(space).coords  # certifies `space`
+    padded[:, :n] = embed(space).coords
     names = [f"g{n + t}" for t in range(k)]
 
     def build(snapped):
@@ -213,14 +213,13 @@ def no_algebraicity_witnesses(
         raise IndexError(f"x_idx {x_idx} out of range")
     if len(set(fixed)) != len(fixed):
         raise ValueError("fixed indices must be distinct")
-    require_member(space, "space")
+    pivots = require_member(space, "space").pd_certificate
 
     g = gram_entries(space)
     # rows over the fixed part: x, then every point of the space
     rows = [[g[x_idx][f] for f in fixed]] + [[g[p][f] for f in fixed] for p in range(space.n)]
     s = _projection_products([[g[a][b] for b in fixed] for a in fixed], rows)
     rho_sq = 1 + s[0][0]  # exact Schur residual of x over fixed
-    assert rho_sq > 0
     sq_between = 2 * rho_sq
 
     n = space.n
@@ -229,9 +228,8 @@ def no_algebraicity_witnesses(
     combined = extend_space(
         space, [cross_to_old] * m, [[sq_between] * m] * m, [f"orbit{t}" for t in range(m)]
     )
-    cert = certify_membership(combined)
-    if isinstance(cert, Rejection):  # cannot happen: fresh orthogonal residuals
-        raise AssertionError(f"witness family failed certification: {cert}")
+    # each witness's residual over the space is rho times a fresh unit vector
+    _store_certificate(combined, pivots + (rho_sq,) * m)
     new_indices = tuple(range(n, n + m))
     extensions = tuple(combined.restrict(list(range(n)) + [n + t]) for t in range(m))
     return NoAlgebraicityWitnesses(

@@ -85,18 +85,19 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
         raise ValueError(f"{flag}: {text.strip()!r} is not a finite rational number") from None
 
 
-def _parse_fraction_list(text: str, flag: str) -> tuple[Fraction, ...]:
+def _parse_int(text: str, flag: str) -> int:
+    """Integer from flag text; a malformed value raises ValueError naming both."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{flag}: {text.strip()!r} is not an integer") from None
+
+
+def _parse_list(text: str, flag: str, parse) -> tuple:
     text = text.strip()
     if not text:
         return ()
-    return tuple(_parse_fraction(part, flag) for part in text.split(","))
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(part.strip()) for part in text.split(","))
+    return tuple(parse(part, flag) for part in text.split(","))
 
 
 def _parse_event(text: str) -> CylinderEvent:
@@ -109,7 +110,8 @@ def _parse_event(text: str) -> CylinderEvent:
         for op in ("<", ">"):
             if op in part:
                 idx, thr = part.split(op, 1)
-                constraints.append((int(idx), op, _parse_fraction(thr, "--event")))
+                idx, thr = _parse_int(idx, "--event"), _parse_fraction(thr, "--event")
+                constraints.append((idx, op, thr))
                 break
         else:
             raise ValueError(f"constraint {part!r} must contain < or >")
@@ -156,8 +158,8 @@ def cmd_amalgamate(cfg: ExperimentConfig) -> int:
     problem = builder.AmalgamProblem(
         left=left,
         right=right,
-        common_left=_parse_int_list(cfg.params["common_left"]),
-        common_right=_parse_int_list(cfg.params["common_right"]),
+        common_left=_parse_list(cfg.params["common_left"], "--common-left", _parse_int),
+        common_right=_parse_list(cfg.params["common_right"], "--common-right", _parse_int),
     )
     glued = builder.amalgamate(problem)
     payload = _stamp(cfg, space_to_json(glued))
@@ -197,7 +199,7 @@ def _realize_two(ts, rng, min_perp: float = 0.05):
 
 def cmd_witness(cfg: ExperimentConfig) -> int:
     space = load_space(cfg.inputs["space"]) if "space" in cfg.inputs else empty_space()
-    dists = _parse_fraction_list(cfg.params["dists"], "--dists")
+    dists = _parse_list(cfg.params["dists"], "--dists", _parse_fraction)
     ts = typegeom.type_sphere(space, dists, tol=cfg.params["tol"])
     rng = np.random.default_rng(cfg.seed)
     kind = cfg.params["kind"]
@@ -309,7 +311,7 @@ def cmd_mixing(cfg: ExperimentConfig) -> int:
     report = gaussian.mixing_experiment(
         space,
         event,
-        k_values=_parse_int_list(cfg.params["k"]),
+        k_values=_parse_list(cfg.params["k"], "--k", _parse_int),
         samples=cfg.params["samples"],
         seed=cfg.seed,
     )
@@ -329,7 +331,7 @@ def cmd_mixing(cfg: ExperimentConfig) -> int:
 def cmd_orders(cfg: ExperimentConfig) -> int:
     space = load_space(cfg.inputs["space"])
     model = gaussian.build_model(space, seed=cfg.seed)
-    indices = _parse_int_list(cfg.params["indices"])
+    indices = _parse_list(cfg.params["indices"], "--indices", _parse_int)
     dist = orders.order_distribution(model, indices, cfg.params["samples"])
     payload = dist.to_json()
     if dist.k <= 4:

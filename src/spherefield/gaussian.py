@@ -20,9 +20,8 @@ from .errors import PrecisionError
 from .exact import FracMatrix, as_fraction, frac_to_pair
 from .metric import (
     PartialIsometry,
-    Rejection,
     SpaceDistances,
-    certify_membership,
+    _store_certificate,
     embed,
     extend_space,
     gram_entries,
@@ -301,9 +300,9 @@ def near_orthogonal_copy(
     For k >= 2 the copy is mixed into the original's span: z_j carries the
     original geometry scaled by 1/k plus an orthogonal remainder, so
     <x_i, z_j> = g_ij / k exactly and the combined Gram is the Kronecker
-    product of [[1, 1/k], [1/k, 1]] with the original Gram (positive
-    definite). k = 1 places the copy exactly orthogonally (all cross
-    inner products zero).
+    product of [[1, s], [s, 1]] with the original Gram, s = 1/k: its
+    pivots are the original's d, then (1 - s^2) d. k = 1 places the copy
+    exactly orthogonally (s = 0).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -312,9 +311,8 @@ def near_orthogonal_copy(
     s = Fraction(1, k) if k >= 2 else Fraction(0)
     to_old = [[2 - 2 * s * cert.g[i][t] for i in range(n)] for t in range(n)]
     combined = extend_space(space, to_old, space.sq_dist, [name + "*" for name in space.labels])
-    cc = certify_membership(combined)
-    if isinstance(cc, Rejection):  # cannot happen for k >= 1
-        raise AssertionError(f"near-orthogonal copy failed certification: {cc}")
+    d = cert.pd_certificate
+    _store_certificate(combined, d + tuple((1 - s * s) * p for p in d))
     copy = combined.restrict(range(n, 2 * n))
     iso = PartialIsometry(
         domain_indices=tuple(range(n)), codomain_indices=tuple(range(n, 2 * n))

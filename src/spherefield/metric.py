@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -44,6 +44,9 @@ class SpaceDistances:
 
     labels: tuple[str, ...]
     sq_dist: FracMatrix
+    _cert: GramMatrix | Rejection | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
@@ -82,9 +85,9 @@ class SpaceDistances:
 class GramMatrix:
     """Exact inner-product matrix of a space; unit diagonal, |off-diagonal| < 1.
 
-    When `pd_certificate` is set it holds the exact LDL^T pivots, all
-    strictly positive; rerunning the factorization reproduces them and
-    L diag(d) L^T reproduces the matrix exactly.
+    `pd_certificate`, when set, holds the exact LDL^T pivots (all > 0):
+    L diag(d) L^T reproduces the matrix exactly. A space's certificate is
+    computed at most once per SpaceDistances instance and stored on it.
     """
 
     g: FracMatrix
@@ -204,14 +207,26 @@ def certify_membership(space: SpaceDistances) -> GramMatrix | Rejection:
 
     Returns the Gram matrix carrying its exact LDL^T pivots (all > 0) on
     acceptance; on rejection returns the index of the first non-positive
-    pivot together with the exact leading principal minor. Rejection is a
-    valid result, not an error.
+    pivot with the exact leading principal minor (a result, not an error).
+    Either is computed at most once per (frozen) instance and stored on it.
     """
-    entries = gram_entries(space)
-    minors, stop = leading_minors(entries)
-    if stop is not None:
-        return Rejection(pivot_index=stop, leading_minor=minors[stop])
-    return GramMatrix(g=entries, pd_certificate=pivots_from_minors(minors))
+    if space._cert is None:
+        entries = gram_entries(space)
+        minors, stop = leading_minors(entries)
+        if stop is not None:
+            cert = Rejection(pivot_index=stop, leading_minor=minors[stop])
+        else:
+            cert = GramMatrix(g=entries, pd_certificate=pivots_from_minors(minors))
+        object.__setattr__(space, "_cert", cert)
+    return space._cert
+
+
+def _store_certificate(space: SpaceDistances, pivots: Sequence[Fraction]) -> None:
+    """Store derived LDL^T pivots on `space`; AssertionError unless n pivots, all > 0."""
+    if len(pivots) != space.n or any(p <= 0 for p in pivots):
+        raise AssertionError(f"{len(pivots)} pivots for {space.n} points, or a pivot <= 0")
+    cert = GramMatrix(g=gram_entries(space), pd_certificate=pivots)
+    object.__setattr__(space, "_cert", cert)
 
 
 def is_member(space: SpaceDistances) -> bool:
@@ -300,30 +315,21 @@ def embed(space: SpaceDistances, tol: float = 1e-9) -> EmbeddedSpace:
     cert = require_member(space, "space")
     if space.n == 0:
         return EmbeddedSpace(coords=np.zeros((0, 0)), tol=tol)
-    gf = cert.to_float()
     try:
-        coords = np.linalg.cholesky(gf)
+        coords = np.linalg.cholesky(cert.to_float())
     except np.linalg.LinAlgError as exc:
         raise PrecisionError(
             "exact matrix is positive definite but float factorization failed; "
             "the space is too ill-conditioned for double precision"
         ) from exc
     emb = EmbeddedSpace(coords=coords, tol=tol)
-    _check_embedding(space, emb)
-    return emb
-
-
-def _check_embedding(space: SpaceDistances, emb: EmbeddedSpace) -> None:
-    norms = np.linalg.norm(emb.coords, axis=1)
-    if emb.n and np.max(np.abs(norms - 1.0)) > emb.tol:
+    if np.max(np.abs(np.linalg.norm(emb.coords, axis=1) - 1.0)) > tol:
         raise PrecisionError("embedded row norms deviate from 1 beyond tol")
-    if emb.n:
-        exact = np.array(
-            [[float(v) for v in row] for row in space.sq_dist], dtype=float
-        )
-        err = np.max(np.abs(emb.sq_distances() - exact))
-        if err > emb.tol:
-            raise PrecisionError(f"embedding round-trip error {err:.3e} exceeds tol")
+    exact = np.array([[float(v) for v in row] for row in space.sq_dist], dtype=float)
+    err = np.max(np.abs(emb.sq_distances() - exact))
+    if err > tol:
+        raise PrecisionError(f"embedding round-trip error {err:.3e} exceeds tol")
+    return emb
 
 
 def verify_isometry(a: SpaceDistances, b: SpaceDistances, mapping: PartialIsometry) -> bool:

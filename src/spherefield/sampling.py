@@ -24,10 +24,10 @@ def normal_matrix(seed: int, rows: int, cols: int, row_offset: int = 0) -> np.nd
 
     `normal_matrix(s, r, c, k)` equals rows [k, k+r) of `normal_matrix(s, k+r, c)`.
     """
-    if rows < 0:
-        raise ValueError("rows must be nonnegative")
-    if cols <= 0:
-        return np.empty((rows, max(cols, 0)))
+    if rows < 0 or cols < 0:
+        raise ValueError(f"{'rows' if rows < 0 else 'cols'} must be nonnegative")
+    if cols == 0:
+        return np.empty((rows, 0))
     bitgen = np.random.Philox(key=seed)
     stride = _stride_per_row(cols)
     if row_offset:

@@ -88,19 +88,12 @@ def type_sphere(
     n = C.n
     rho_sq_exact = minors[-1] / (minors[-2] if n else Fraction(1))
 
-    inner = embed(C, tol=tol)  # n x n
     coords = np.zeros((n, n + 3))
-    if n:
-        coords[:, :n] = inner.coords
+    coords[:, :n] = embed(C, tol=tol).coords
     base = EmbeddedSpace(coords=coords, tol=tol)
 
-    if n:
-        gf = cert.to_float()
-        rhs = np.array([float(polarize(d)) for d in dists])
-        w = np.linalg.solve(gf, rhs)
-        center = w @ coords
-    else:
-        center = np.zeros(3)
+    rhs = np.array([float(polarize(d)) for d in dists])
+    center = np.linalg.solve(cert.to_float(), rhs) @ coords  # zeros(3) over an empty C
     radius_sq = 1.0 - float(center @ center)
     if abs(radius_sq - float(rho_sq_exact)) > max(tol, 1e-8):
         raise PrecisionError(

@@ -1,8 +1,37 @@
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
-from spherefield import space_from_sq
+from spherefield import certify_membership, exact, space_from_sq
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counts the runs of the library's one elimination loop,
+    `spherefield.exact._eliminate`, from the fixture's set-up on."""
+    counter = SimpleNamespace(calls=0)
+    eliminate = exact._eliminate
+
+    def counting(a, steps):
+        counter.calls += 1
+        return eliminate(a, steps)
+
+    monkeypatch.setattr(exact, "_eliminate", counting)
+    return counter
+
+
+@pytest.fixture
+def stored_pivots(eliminations):
+    """Reads the pivots stored on a space; fails when reading them has to
+    run an elimination, that is, when no certificate was stored."""
+    def read(space):
+        before = eliminations.calls
+        pivots = list(certify_membership(space).pd_certificate)
+        assert eliminations.calls == before, "no certificate was stored on the space"
+        return pivots
+
+    return read
 
 
 @pytest.fixture

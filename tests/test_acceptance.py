@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 import spherefield as sf
+from exact_oracle import ldlt
 from spherefield import cli
+from spherefield.exact import leading_minors
 from spherefield.metric import GramMatrix, certify_membership, gram_entries
 from spherefield.orthant import orthant_2d
 from spherefield.sampling import random_unit_vectors
@@ -269,7 +271,9 @@ def test_c09_strong_amalgamation():
             for i in range(left.n):
                 for j in range(left.n, out.n):
                     assert out.sq_dist[i][j] > 0
-            assert isinstance(certify_membership(out), GramMatrix)
+            # an elimination that cannot read the certificate amalgamate stored
+            assert leading_minors(gram_entries(out))[1] is None
+            assert list(certify_membership(out).pd_certificate) == ldlt(gram_entries(out))[1]
         elapsed = time.perf_counter() - t0
         assert elapsed < 20.0, f"took {elapsed:.1f}s"
 

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from exact_oracle import solve_posdef
+from exact_oracle import ldlt, solve_posdef
 from spherefield import (
     AmalgamProblem,
     NotMemberError,
@@ -25,12 +25,21 @@ from spherefield import (
     space_from_sq,
     verify_isometry,
 )
-from spherefield.metric import GramMatrix, certify_membership, gram_entries
+from spherefield import builder
+from spherefield.exact import leading_minors
+from spherefield.metric import (
+    GramMatrix,
+    certify_membership,
+    embed,
+    gram_entries,
+    snap_and_certify,
+)
+from spherefield.gaussian import build_model
 
 
 # --- amalgamation ---------------------------------------------------------------
 
-def test_amalgam_of_space_with_itself_is_identity(equilateral):
+def test_amalgam_of_space_with_itself_is_identity(equilateral, stored_pivots):
     p = AmalgamProblem(
         left=equilateral,
         right=equilateral,
@@ -40,14 +49,16 @@ def test_amalgam_of_space_with_itself_is_identity(equilateral):
     out = amalgamate(p)
     assert out.n == 3
     assert out.sq_dist == equilateral.sq_dist
+    assert stored_pivots(out) == ldlt(gram_entries(out))[1]
 
 
-def test_amalgam_over_empty_common_is_orthogonal():
+def test_amalgam_over_empty_common_is_orthogonal(stored_pivots):
     left = space_from_sq([[0]], labels=("x",))
     right = space_from_sq([[0]], labels=("y",))
     out = amalgamate(AmalgamProblem(left=left, right=right, common_left=(), common_right=()))
     assert out.n == 2
     assert out.sq_dist[0][1] == 2  # free amalgam of unit vectors is orthogonal
+    assert stored_pivots(out) == ldlt(gram_entries(out))[1]
 
 
 def test_amalgam_projection_arithmetic():
@@ -68,7 +79,7 @@ def _shuffled(space, a_size, rng):
     return space.restrict(order), [order.index(c) for c in range(a_size)]
 
 
-def test_amalgam_restrictions_and_strongness_random():
+def test_amalgam_restrictions_and_strongness_random(stored_pivots):
     rng = np.random.default_rng(19)
     shuffle_rng = np.random.default_rng(20)
     for _ in range(40):
@@ -98,7 +109,23 @@ def test_amalgam_restrictions_and_strongness_random():
                 if i not in cl:
                     for j in range(lt.n, out.n):
                         assert out.sq_dist[i][j] > 0
-            assert isinstance(certify_membership(out), GramMatrix)
+            # certified by an elimination that cannot read the stored certificate
+            assert leading_minors(gram_entries(out))[1] is None
+            # the composed certificate is the full factorization's, exactly
+            assert stored_pivots(out) == ldlt(gram_entries(out))[1]
+
+
+def test_embed_and_model_of_amalgam_run_no_elimination(eliminations):
+    rng = np.random.default_rng(31)
+    base = random_extension(empty_space(), 2, rng)
+    left = random_extension(base, 3, rng)
+    right = random_extension(base, 3, rng)
+    out = amalgamate(AmalgamProblem(left=left, right=right, common_left=(0, 1),
+                                    common_right=(0, 1)))
+    before = eliminations.calls
+    embed(out)
+    build_model(out)
+    assert eliminations.calls == before
 
 
 def test_amalgam_rejects_non_isometric_identification():
@@ -199,9 +226,10 @@ def test_one_point_maps_between_different_spaces(equilateral, scalene):
 
 # --- no algebraicity ------------------------------------------------------------
 
-def test_witnesses_single(equilateral):
+def test_witnesses_single(equilateral, stored_pivots):
     wit = no_algebraicity_witnesses(equilateral, fixed=(1, 2), x_idx=0, m=1)
     assert wit.sq_to_x > 0
+    assert stored_pivots(wit.combined) == ldlt(gram_entries(wit.combined))[1]
     ext = wit.extensions[0]
     assert ext.n == 4
     assert isinstance(certify_membership(ext), GramMatrix)
@@ -210,10 +238,11 @@ def test_witnesses_single(equilateral):
     assert ext.sq_dist[3][2] == equilateral.sq_dist[0][2]
 
 
-def test_witnesses_three_over_empty_fixed(equilateral):
+def test_witnesses_three_over_empty_fixed(equilateral, stored_pivots):
     wit = no_algebraicity_witnesses(equilateral, fixed=(), x_idx=0, m=3)
     assert wit.combined.n == 6
-    assert isinstance(certify_membership(wit.combined), GramMatrix)
+    assert leading_minors(gram_entries(wit.combined))[1] is None
+    assert stored_pivots(wit.combined) == ldlt(gram_entries(wit.combined))[1]
     # pairwise distinct: all pairwise distances positive (they equal 2 rho^2 = 2)
     for i in wit.new_indices:
         for j in wit.new_indices:
@@ -222,7 +251,7 @@ def test_witnesses_three_over_empty_fixed(equilateral):
         assert wit.combined.sq_dist[i][0] > 0
 
 
-def test_witnesses_over_all_other_points():
+def test_witnesses_over_all_other_points(stored_pivots):
     rng = np.random.default_rng(29)
     space = random_extension(empty_space(), 5, rng)
     fixed = (0, 1, 2, 3)
@@ -235,8 +264,9 @@ def test_witnesses_over_all_other_points():
     rho_sq = 1 - sum(rhs[i] * w[i] for i in range(4))
     assert rho_sq > 0
     assert wit.sq_to_x == 2 * rho_sq
+    assert stored_pivots(wit.combined) == ldlt(gram_entries(wit.combined))[1]
     for ext in wit.extensions:
-        assert isinstance(certify_membership(ext), GramMatrix)
+        assert leading_minors(gram_entries(ext))[1] is None
         for t, f in enumerate(fixed):
             assert ext.sq_dist[5][f] == space.sq_dist[4][f]
 
@@ -254,6 +284,25 @@ def test_chain_growth_coherence():
     for a, b in zip(chain.stages, chain.stages[1:]):
         assert b.restrict(range(a.n)).sq_dist == a.sq_dist
         assert isinstance(certify_membership(b), GramMatrix)
+
+
+def test_grow_chain_eliminates_each_stage_once(eliminations, monkeypatch):
+    # a member start not yet certified, then one elimination per ladder rung
+    start = random_extension(empty_space(), 6, np.random.default_rng(37))
+    start = space_from_sq(start.sq_dist)
+    rungs = []
+
+    def counting_ladder(build, *args, **kwargs):
+        def counted(snapped):
+            rungs.append(snapped)
+            return build(snapped)
+        return snap_and_certify(counted, *args, **kwargs)
+
+    monkeypatch.setattr(builder, "snap_and_certify", counting_ladder)
+    before = eliminations.calls
+    grow_chain(seed=8, n_stages=6, start=start)
+    assert len(rungs) >= 6
+    assert eliminations.calls - before == 1 + len(rungs)
 
 
 def test_chain_determinism_byte_for_byte(tmp_path):

@@ -233,6 +233,27 @@ def test_zero_denominator_exits_one(argv, flag, one_file, tmp_path, capsys):
     assert flag in err and "1/0" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag, bad",
+    [
+        (["orders", "--space", "ONE", "--indices", "0,x"], "--indices", "x"),
+        (["mixing", "--space", "ONE", "--k", "2,y"], "--k", "y"),
+        (["amalgamate", "--left", "ONE", "--right", "ONE", "--common-left", "0,z"],
+         "--common-left", "z"),
+        (["amalgamate", "--left", "ONE", "--right", "ONE", "--common-right", "w"],
+         "--common-right", "w"),
+        (["mixing", "--space", "ONE", "--event", "q>0"], "--event", "q"),
+    ],
+    ids=["indices", "k", "common-left", "common-right", "event-index"],
+)
+def test_bad_integer_names_flag_and_value(argv, flag, bad, one_file, tmp_path, capsys):
+    argv = [one_file if a == "ONE" else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert flag in err and repr(bad) in err
+
+
 # --- orders ---------------------------------------------------------------------
 
 def test_orders_rejects_uniform_for_isoceles(iso_file, tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import spherefield as sf
+from exact_oracle import ldlt
 from spherefield import (
     CylinderEvent,
     NotMemberError,
@@ -23,7 +24,9 @@ from spherefield import (
     space_from_sq,
     verify_isometry,
 )
+from spherefield.exact import leading_minors
 from spherefield.gaussian import energy_distance_test
+from spherefield.metric import gram_entries
 from spherefield.orthant import orthant_2d
 
 
@@ -254,6 +257,15 @@ def test_copy_is_exactly_isometric(equilateral):
     assert combined.restrict(range(3, 6)).sq_dist == equilateral.sq_dist
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_copy_certificate_is_the_full_factorization(k, stored_pivots):
+    space = sf.random_extension(sf.empty_space(), 6, np.random.default_rng(40 + k))
+    _, combined, _ = near_orthogonal_copy(space, k)
+    g = gram_entries(combined)
+    assert leading_minors(g)[1] is None
+    assert stored_pivots(combined) == ldlt(g)[1]
+
+
 # --- KL, TV, mixing -------------------------------------------------------------
 
 def tv_discretized_2d(c: float, half_width: float = 8.0, n: int = 801) -> float:
@@ -327,6 +339,13 @@ def test_mixing_multi_coordinate_event(equilateral):
     rep = mixing_experiment(equilateral, ev, k_values=(3,), samples=100_000, seed=24)
     assert 0 < rep.joint[0].value < rep.mu_b[0].value
     assert rep.tv_bounds[0] == math.sqrt(rep.kl_bounds[0] / 2.0)
+
+
+def test_mixing_certifies_the_space_once(scalene, eliminations):
+    # every combined space carries the certificate its copy composed
+    ev = CylinderEvent(constraints=((0, ">", F(0)),))
+    mixing_experiment(scalene, ev, k_values=(2, 4, 8, 16), samples=1000, seed=25)
+    assert eliminations.calls == 1
 
 
 def test_mixing_rejects_bad_event_index(equilateral):

@@ -20,6 +20,7 @@ from spherefield import (
     certify_membership,
     embed,
     gram_from_distances,
+    is_member,
     near_orthogonal_copy,
     space_from_sq,
     verify_isometry,
@@ -27,6 +28,7 @@ from spherefield import (
 from spherefield.builder import random_extension
 from spherefield.exact import snap_sq_dist
 from spherefield.metric import (
+    _store_certificate,
     extend_space,
     load_space,
     require_member,
@@ -172,6 +174,28 @@ def test_hereditary_submatrices_of_members_are_members():
 
 def test_empty_space_is_member():
     assert isinstance(certify_membership(sf.empty_space()), GramMatrix)
+
+
+@pytest.mark.parametrize("sq", [[[0, 1, 1], [1, 0, 1], [1, 1, 0]], [[0, 4], [4, 0]]],
+                         ids=["member", "non-member"])
+def test_verdict_is_computed_once_and_invisible(sq, eliminations):
+    space, twin = space_from_sq(sq), space_from_sq(sq)
+    first = certify_membership(space)
+    assert certify_membership(space) is first
+    assert is_member(space) == isinstance(first, GramMatrix)
+    assert eliminations.calls == 1
+    # the stored verdict is not part of the value
+    assert space == twin and hash(space) == hash(twin) and repr(space) == repr(twin)
+    assert space_to_json(space) == space_to_json(twin)
+
+
+def test_store_certificate_guards_its_pivots(equilateral, stored_pivots):
+    for bad in ([F(1), F(3, 4)], [F(1), F(3, 4), F(0)], [F(1), F(-1), F(2, 3)]):
+        with pytest.raises(AssertionError):
+            _store_certificate(space_from_sq(equilateral.sq_dist), bad)
+    fresh = space_from_sq(equilateral.sq_dist)
+    _store_certificate(fresh, [F(1), F(3, 4), F(2, 3)])
+    assert stored_pivots(fresh) == [F(1), F(3, 4), F(2, 3)]
 
 
 # --- embedding ------------------------------------------------------------------

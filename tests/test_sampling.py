@@ -49,6 +49,11 @@ def test_negative_rows_rejected():
         normal_matrix(5, -1, 3)
 
 
+def test_negative_cols_rejected():
+    with pytest.raises(ValueError, match="cols"):
+        normal_matrix(5, 3, -2)
+
+
 # sha256 of normal_matrix(20241029, 37, cols, row_offset).tobytes(), recorded
 # before Box-Muller was rewritten in place; covers strides with padding (cols 1,
 # 3) and without (cols 4, 8). The hashes pin one build of numpy and its maths

@@ -83,6 +83,12 @@ def test_radius_independent_of_row_order():
         assert abs(ts_p.radius_sq - ts.radius_sq) < 1e-8
 
 
+def test_type_sphere_eliminates_c_once(scalene, eliminations):
+    # C once, and the bordered matrix C u {x} once
+    type_sphere(scalene, [F(1), F(1), F(1)])
+    assert eliminations.calls == 2
+
+
 # --- realization ----------------------------------------------------------------
 
 def test_realize_unit_vector_over_empty_base(free_sphere):
