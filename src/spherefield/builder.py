@@ -3,10 +3,10 @@
 Amalgamation is free: the two sides are glued exactly along the common
 part and the residual components are placed in mutually orthogonal
 complements of its span, so every cross inner product equals the inner
-product of the projections onto that span. Every such product comes from
-one exact Schur complement over the Gram matrix of the common part, which
-makes the amalgam exact with no rounding and never identifies points
-outside the common part.
+product of the projections onto that span. Each point's row is bordered
+over the Bareiss rows of the common part, and only the left x right-only
+block of products is computed. That makes the amalgam exact with no
+rounding and never identifies points outside the common part.
 """
 
 from __future__ import annotations
@@ -19,16 +19,14 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SnapError, UnrealizableTypeError
-from .exact import as_fraction, schur_complement
+from .exact import _span_products, as_fraction
 from .metric import (
     PartialIsometry,
-    Rejection,
     SpaceDistances,
+    _border_point,
     _store_certificate,
     embed,
     extend_space,
-    extension_minors,
-    gram_entries,
     load_space,
     require_member,
     save_space,
@@ -40,19 +38,6 @@ from .sampling import random_unit_vectors
 
 # fresh draws in random_extension before it gives up
 RESAMPLES = 5
-
-
-def _projection_products(g_span, rows):
-    """-<proj x, proj y> for every pair of `rows`, projected onto a span.
-
-    g_span is the exact Gram matrix of a basis of the span and rows[i] the
-    inner products of point i with that basis. One Schur complement of
-    [[g_span, rows^T], [rows, 0]] gives every product at once.
-    """
-    k = len(g_span)
-    bordered = [list(g_span[a]) + [r[a] for r in rows] for a in range(k)]
-    bordered += [list(r) + [Fraction(0)] * len(rows) for r in rows]
-    return schur_complement(bordered, k)
 
 
 @dataclass(frozen=True)
@@ -92,13 +77,12 @@ def amalgamate(problem: AmalgamProblem) -> SpaceDistances:
     cl, cr = problem.common_left, problem.common_right
     right_only = [j for j in range(right.n) if j not in set(cr)]
 
-    gl = gram_entries(left)
-    gr = gram_entries(right)
-    # rows over the common part: every left point, then every right-only point
-    rows = [[gl[i][c] for c in cl] for i in range(left.n)]
-    rows += [[gr[j][c] for c in cr] for j in right_only]
-    s = _projection_products([[gl[a][b] for b in cl] for a in cl], rows)
-    to_old = [[2 + 2 * s[left.n + t][i] for i in range(left.n)] for t in range(len(right_only))]
+    gl, gr = require_member(left, "left").g, require_member(right, "right").g
+    # rows over the common part: every left point, and every right-only point
+    rows_l = [[gl[i][c] for c in cl] for i in range(left.n)]
+    rows_r = [[gr[j][c] for c in cr] for j in right_only]
+    s = _span_products([rows_l[c] for c in cl], rows_l, rows_r)
+    to_old = [[2 - 2 * v for v in row] for row in s]
     among = [[right.sq_dist[a][b] for b in right_only] for a in right_only]
     out = extend_space(left, to_old, among, [right.labels[j] for j in right_only])
     # right-only residuals are orthogonal to span(left): pivots of left, then over common
@@ -155,13 +139,10 @@ def one_point_extension_witness(space: SpaceDistances, target_dists) -> SpaceDis
     if len(dists) != space.n:
         raise ValueError(f"expected {space.n} prescribed distances, got {len(dists)}")
     cert = require_member(space, "space")
-    minors, stop = extension_minors(cert, dists)
-    if stop is not None:
-        raise UnrealizableTypeError(
-            f"prescription not realizable: non-positive pivot at index {stop}",
-            Rejection(pivot_index=stop, leading_minor=minors[stop]),
-        )
-    return extend_space(space, [dists], [[None]], [f"w{space.n}"])
+    bordered = _border_point(cert, dists, "prescription")
+    out = extend_space(space, [dists], [[None]], [f"w{space.n}"])
+    _store_certificate(out, bordered)
+    return out
 
 
 def check_transitivity_witness(
@@ -211,25 +192,27 @@ def no_algebraicity_witnesses(
         raise ValueError("x_idx must not belong to the fixed set")
     if not 0 <= x_idx < space.n:
         raise IndexError(f"x_idx {x_idx} out of range")
+    for f in fixed:
+        if not 0 <= f < space.n:
+            raise IndexError(f"fixed index {f} out of range")
     if len(set(fixed)) != len(fixed):
         raise ValueError("fixed indices must be distinct")
-    pivots = require_member(space, "space").pd_certificate
+    cert = require_member(space, "space")
 
-    g = gram_entries(space)
-    # rows over the fixed part: x, then every point of the space
-    rows = [[g[x_idx][f] for f in fixed]] + [[g[p][f] for f in fixed] for p in range(space.n)]
-    s = _projection_products([[g[a][b] for b in fixed] for a in fixed], rows)
-    rho_sq = 1 + s[0][0]  # exact Schur residual of x over fixed
+    # rows over the fixed part: every point of the space, and x
+    rows = [[cert.g[p][f] for f in fixed] for p in range(space.n)]
+    (s,) = _span_products([rows[f] for f in fixed], rows, [rows[x_idx]])
+    rho_sq = 1 - s[x_idx]  # exact Schur residual of x over fixed
     sq_between = 2 * rho_sq
 
     n = space.n
-    cross_to_old = [2 + 2 * s[0][1 + p] for p in range(n)]
+    cross_to_old = [2 - 2 * v for v in s]
 
     combined = extend_space(
         space, [cross_to_old] * m, [[sq_between] * m] * m, [f"orbit{t}" for t in range(m)]
     )
     # each witness's residual over the space is rho times a fresh unit vector
-    _store_certificate(combined, pivots + (rho_sq,) * m)
+    _store_certificate(combined, cert.pd_certificate + (rho_sq,) * m)
     new_indices = tuple(range(n, n + m))
     extensions = tuple(combined.restrict(list(range(n)) + [n + t]) for t in range(m))
     return NoAlgebraicityWitnesses(

@@ -1,12 +1,11 @@
 """Exact rational linear algebra used by the certification layer.
 
 Positive-definiteness is decided over the rationals, never in floating
-point: the leading principal minors are computed with fraction-free
-(Bareiss) elimination on an integer-scaled copy of the matrix, so the only
-big-number operations are integer multiply and exact divide. The same
-elimination, stopped after k steps, gives the exact Schur complement over
-the leading k x k block: every projection onto a common span that the
-constructions need comes from one such complement.
+point, by fraction-free (Bareiss) elimination in bordering form: each
+integer-scaled row takes its steps against the rows stored before it, with
+only integer multiply and exact divide. Certificates keep these rows, so an
+extension borders only its new rows; a row stopped after a span's k steps
+gives its projection onto that span.
 """
 
 from __future__ import annotations
@@ -39,81 +38,70 @@ def freeze_matrix(rows) -> FracMatrix:
     return tuple(tuple(as_fraction(v) for v in row) for row in rows)
 
 
-def _integer_scaled(g: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Return (L*g as integers, L) where L is the lcm of all denominators."""
-    scale = 1
-    for row in g:
-        for v in row:
-            scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    m = [[int(v * scale) for v in row] for row in g]
-    return m, scale
+def _scaled(row, scale: int) -> list[int]:
+    return [v.numerator * (scale // v.denominator) for v in row]
 
 
-def _eliminate(a: list[list[int]], steps: int) -> tuple[list[int], int | None]:
-    """Run `steps` symmetric Bareiss steps on the integer matrix `a`, in place.
+def _eliminate(rows: list, new: Sequence[list[int]], steps: int | None = None) -> int | None:
+    """Border each integer row x of `new` onto the stored Bareiss rows.
 
-    Pivot k is det(a[:k+1, :k+1]). After k steps every entry of the trailing
-    block a[k:, k:] is the determinant of the leading k x k block bordered by
-    its row and column (Sylvester's identity), so each division is exact.
-    Returns (pivots, stop): stop is the index of the first non-positive
-    pivot, where elimination halts, or None.
+    Step t updates column c of x with multiplier B[c][t] (x[t] on x's own
+    diagonal, column len(rows)); each entry is a bordered minor, so each
+    division is exact. By default x takes a step per stored row and is
+    appended; the loop stops at the first non-positive diagonal and returns
+    its index (else None). With `steps`, x only takes that many, in place.
     """
-    n = len(a)
-    pivots: list[int] = []
-    prev = 1
-    for k in range(steps):
-        piv = a[k][k]
-        pivots.append(piv)
-        if piv <= 0:
-            return pivots, k
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(i, n):
-                row_i[j] = (row_i[j] * piv - aik * row_k[j]) // prev
-            for j in range(k + 1, i):
-                row_i[j] = a[j][i]
-        prev = piv
-    return pivots, None
+    for x in new:
+        j, prev = len(rows), 1
+        for t in range(j if steps is None else steps):
+            piv, xt = rows[t][t], x[t]
+            for c in range(t + 1, min(len(x), j)):
+                x[c] = (piv * x[c] - xt * rows[c][t]) // prev
+            if len(x) > j:
+                x[j] = (piv * x[j] - xt * xt) // prev
+            prev = piv
+        if steps is None:
+            rows.append(tuple(x))
+            if x[j] <= 0:
+                return j
+    return None
+
+
+def _border(rows: Sequence[tuple[int, ...]], scale: int, new: Sequence[Sequence[Fraction]]):
+    """Border lower rational rows onto Bareiss rows at `scale`: (rows, scale, stop).
+    If `new` needs a scale u times finer, stored rows are rescaled by u^(k+1)."""
+    fine = math.lcm(scale, *(v.denominator for row in new for v in row))
+    powers = [(fine // scale) ** (k + 1) for k in range(len(rows))]
+    rows = [tuple(v * p for v, p in zip(row, powers)) for row in rows] if fine > scale else [*rows]
+    stop = _eliminate(rows, [_scaled(row, fine) for row in new])
+    return tuple(rows), fine, stop
 
 
 def leading_minors(g: Sequence[Sequence[Fraction]]) -> tuple[list[Fraction], int | None]:
-    """Leading principal minors of a symmetric rational matrix.
-
-    Fraction-free elimination; stops at the first non-positive minor.
-    Returns (minors, stop) where minors[k] = det of the (k+1)x(k+1) leading
-    block. stop is the index of the first non-positive minor, or None when
-    every minor is positive (the matrix is positive definite by Sylvester's
-    criterion).
-    """
-    a, scale = _integer_scaled(g)
-    pivots, stop = _eliminate(a, len(a))
-    return [Fraction(p, scale ** (k + 1)) for k, p in enumerate(pivots)], stop
+    """Leading principal minors of a symmetric rational matrix up to the first
+    non-positive one: (minors, stop), minors[k] the det of the leading
+    (k+1)x(k+1) block, stop that minor's index or None (positive definite)."""
+    rows, scale, stop = _border((), 1, [row[: j + 1] for j, row in enumerate(g)])
+    return [Fraction(row[k], scale ** (k + 1)) for k, row in enumerate(rows)], stop
 
 
-def schur_complement(g: Sequence[Sequence[Fraction]], k: int) -> list[list[Fraction]]:
-    """Exact g[k:,k:] - g[k:,:k] g[:k,:k]^-1 g[:k,k:] of a symmetric rational g.
-
-    Runs k elimination steps; each trailing entry is then divided, once, by
-    the scaled determinant of the leading block. Raises ArithmeticError when
-    g[:k,:k] is not positive definite.
-    """
-    a, scale = _integer_scaled(g)
-    pivots, stop = _eliminate(a, k)
+def _span_products(g_span, points, probes) -> list[list[Fraction]]:
+    """<proj p, proj q> onto a span (of Gram matrix g_span) for each probe row p
+    and point row q, rows holding inner products with the span's basis. Point
+    rows take the k steps of the span's rows; probe rows, with a zero column
+    per point, take them against both, leaving -det(g_span) <proj p, proj q>
+    in q's column. ArithmeticError when g_span is not positive definite."""
+    k = len(g_span)
+    scale = math.lcm(*(v.denominator for row in [*points, *probes] for v in row))
+    span, scale, stop = _border((), scale, [row[: j + 1] for j, row in enumerate(g_span)])
     if stop is not None:
-        raise ArithmeticError(f"leading block not positive definite: pivot {stop} is <= 0")
-    den = scale * (pivots[-1] if k else 1)
-    return [[Fraction(v, den) for v in row[k:]] for row in a[k:]]
-
-
-def pivots_from_minors(minors: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """LDL^T pivots d_k = M_k / M_{k-1} from the leading minors."""
-    out = []
-    prev = Fraction(1)
-    for m in minors:
-        out.append(m / prev)
-        prev = m
-    return tuple(out)
+        raise ArithmeticError(f"span Gram matrix not positive definite: pivot {stop} is <= 0")
+    pts = [_scaled(row, scale) for row in points]
+    _eliminate(span, pts, k)
+    crossed = [_scaled(row, scale) + [0] * len(pts) for row in probes]
+    _eliminate([*span, *pts], crossed, k)
+    den = -scale * (span[-1][-1] if k else 1)
+    return [[Fraction(v, den) for v in row[k:]] for row in crossed]
 
 
 def snap_sq_dist(x: float, bits: int) -> Fraction:

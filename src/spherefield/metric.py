@@ -19,13 +19,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import MalformedSpaceError, NotMemberError, PrecisionError, SnapError
+from .errors import UnrealizableTypeError
 from .exact import (
     FracMatrix,
+    _border,
     as_fraction,
     frac_to_pair,
     freeze_matrix,
-    leading_minors,
-    pivots_from_minors,
     snap_sq_dist,
 )
 
@@ -47,6 +47,7 @@ class SpaceDistances:
     _cert: GramMatrix | Rejection | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _base: SpaceDistances | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
@@ -86,12 +87,15 @@ class GramMatrix:
     """Exact inner-product matrix of a space; unit diagonal, |off-diagonal| < 1.
 
     `pd_certificate`, when set, holds the exact LDL^T pivots (all > 0):
-    L diag(d) L^T reproduces the matrix exactly. A space's certificate is
-    computed at most once per SpaceDistances instance and stored on it.
+    L diag(d) L^T reproduces the matrix exactly, and `_bareiss` keeps the
+    rows B (L[i][k] = B[i][k] / B[k][k]) and scale of its elimination for
+    extensions to border onto. A space's certificate is computed at most
+    once per SpaceDistances instance and stored on it.
     """
 
     g: FracMatrix
     pd_certificate: tuple[Fraction, ...] | None = None
+    _bareiss: tuple = field(default=((), 1), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "g", freeze_matrix(self.g))
@@ -208,25 +212,63 @@ def certify_membership(space: SpaceDistances) -> GramMatrix | Rejection:
     Returns the Gram matrix carrying its exact LDL^T pivots (all > 0) on
     acceptance; on rejection returns the index of the first non-positive
     pivot with the exact leading principal minor (a result, not an error).
-    Either is computed at most once per (frozen) instance and stored on it.
+    Either is computed at most once per (frozen) instance and stored on it;
+    an `extend_space` result borders only its new rows onto its base's.
     """
-    if space._cert is None:
-        entries = gram_entries(space)
-        minors, stop = leading_minors(entries)
-        if stop is not None:
-            cert = Rejection(pivot_index=stop, leading_minor=minors[stop])
-        else:
-            cert = GramMatrix(g=entries, pd_certificate=pivots_from_minors(minors))
-        object.__setattr__(space, "_cert", cert)
+    pending = [space]  # uncertified bases first, oldest first, without recursion
+    while pending[-1]._cert is None and pending[-1]._base is not None:
+        pending.append(pending[-1]._base)
+    for s in reversed(pending):
+        if s._cert is None:
+            cert = s._base._cert if s._base is not None else GramMatrix((), ())
+            if isinstance(cert, GramMatrix):
+                new = [[polarize(d) for d in row[:j]] + [Fraction(1)]
+                       for j, row in enumerate(s.sq_dist) if j >= cert.n]
+                cert = _extend_certificate(cert, new)
+            object.__setattr__(s, "_cert", cert)
+            object.__setattr__(s, "_base", None)
     return space._cert
 
 
-def _store_certificate(space: SpaceDistances, pivots: Sequence[Fraction]) -> None:
-    """Store derived LDL^T pivots on `space`; AssertionError unless n pivots, all > 0."""
-    if len(pivots) != space.n or any(p <= 0 for p in pivots):
+def _extend_certificate(cert: GramMatrix, new) -> GramMatrix | Rejection:
+    """cert's matrix bordered by the lower Gram rows `new`: certificate or rejection."""
+    if len(cert._bareiss[0]) < cert.n:
+        rows, scale, _ = _border((), 1, [row[: j + 1] for j, row in enumerate(cert.g)])
+        object.__setattr__(cert, "_bareiss", (rows, scale))
+    rows, scale, stop = _border(*cert._bareiss, new)
+    if stop is not None:
+        return Rejection(stop, Fraction(rows[stop][stop], scale ** (stop + 1)))
+    g = [list(row) for row in cert.g]
+    for row in new:
+        g = [g_row + [v] for g_row, v in zip(g, row)] + [list(row)]
+    pivots = cert.pd_certificate + tuple(
+        Fraction(rows[k][k], scale * (rows[k - 1][k - 1] if k else 1))
+        for k in range(cert.n, len(rows))
+    )
+    out = GramMatrix(g=g, pd_certificate=pivots)
+    object.__setattr__(out, "_bareiss", (rows, scale))
+    return out
+
+
+def _border_point(cert: GramMatrix, dists, what: str) -> GramMatrix:
+    """cert bordered by one point at squared distances `dists`, or UnrealizableTypeError."""
+    bordered = _extend_certificate(cert, [[polarize(d) for d in dists] + [Fraction(1)]])
+    if isinstance(bordered, Rejection):
+        msg = f"{what} not realizable: non-positive pivot at index {bordered.pivot_index}"
+        raise UnrealizableTypeError(msg, bordered)
+    return bordered
+
+
+def _store_certificate(space: SpaceDistances, cert) -> None:
+    """Store a derived certificate on `space`: a bordered GramMatrix, or
+    LDL^T pivots; AssertionError unless n pivots, all > 0."""
+    if not isinstance(cert, GramMatrix):
+        cert = GramMatrix(g=gram_entries(space), pd_certificate=cert)
+    pivots = cert.pd_certificate
+    if cert.n != space.n or len(pivots) != space.n or any(p <= 0 for p in pivots):
         raise AssertionError(f"{len(pivots)} pivots for {space.n} points, or a pivot <= 0")
-    cert = GramMatrix(g=gram_entries(space), pd_certificate=pivots)
     object.__setattr__(space, "_cert", cert)
+    object.__setattr__(space, "_base", None)
 
 
 def is_member(space: SpaceDistances) -> bool:
@@ -247,7 +289,7 @@ def extend_space(space: SpaceDistances, to_old, among, names) -> SpaceDistances:
     to_old[t][i] is the squared distance from new point t to old point i,
     among[t][s] the one between new points t and s (the diagonal is
     ignored). A name that is already taken gets primes appended. The
-    result is not certified here.
+    result is not certified here; it remembers `space`, to border onto it.
     """
     labels = list(space.labels)
     used = set(labels)
@@ -262,16 +304,9 @@ def extend_space(space: SpaceDistances, to_old, among, names) -> SpaceDistances:
         list(to_old[t]) + [Fraction(0) if s == t else among[t][s] for s in range(m)]
         for t in range(m)
     ]
-    return SpaceDistances(labels=tuple(labels), sq_dist=rows)
-
-
-def extension_minors(gram: GramMatrix, prescribed: Sequence[Fraction]):
-    """Leading minors of the Gram matrix bordered by one prescribed point."""
-    n = gram.n
-    r = [polarize(d) for d in prescribed]
-    bordered = [list(gram.g[i]) + [r[i]] for i in range(n)]
-    bordered.append(r + [Fraction(1)])
-    return leading_minors(bordered)
+    out = SpaceDistances(labels=tuple(labels), sq_dist=rows)
+    object.__setattr__(out, "_base", space)
+    return out
 
 
 def snap_and_certify(

@@ -23,11 +23,10 @@ from .exact import as_fraction, snap_sq_dist_floor
 from .sampling import random_unit_vectors
 from .metric import (
     EmbeddedSpace,
-    Rejection,
     SpaceDistances,
+    _border_point,
     embed,
     extend_space,
-    extension_minors,
     polarize,
     require_member,
     snap_and_certify,
@@ -79,14 +78,8 @@ def type_sphere(
     if any(d < 0 for d in dists):
         raise ValueError("prescribed squared distances must be nonnegative")
     cert = require_member(C, "base configuration", UnrealizableTypeError)
-    minors, stop = extension_minors(cert, dists)
-    if stop is not None:
-        raise UnrealizableTypeError(
-            f"profile not realizable: non-positive pivot at index {stop}",
-            Rejection(pivot_index=stop, leading_minor=minors[stop]),
-        )
+    rho_sq_exact = _border_point(cert, dists, "profile").pd_certificate[-1]
     n = C.n
-    rho_sq_exact = minors[-1] / (minors[-2] if n else Fraction(1))
 
     coords = np.zeros((n, n + 3))
     coords[:, :n] = embed(C, tol=tol).coords

@@ -8,14 +8,16 @@ from spherefield import certify_membership, exact, space_from_sq
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """Counts the runs of the library's one elimination loop,
-    `spherefield.exact._eliminate`, from the fixture's set-up on."""
-    counter = SimpleNamespace(calls=0)
+    """Counts the runs of the library's one bordering loop,
+    `spherefield.exact._eliminate`, and the rows they border, from the
+    fixture's set-up on."""
+    counter = SimpleNamespace(calls=0, rows=0)
     eliminate = exact._eliminate
 
-    def counting(a, steps):
+    def counting(rows, new, steps=None):
         counter.calls += 1
-        return eliminate(a, steps)
+        counter.rows += len(new)
+        return eliminate(rows, new, steps)
 
     monkeypatch.setattr(exact, "_eliminate", counting)
     return counter

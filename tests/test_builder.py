@@ -197,6 +197,14 @@ def test_duplicate_point_prescription_rejected(equilateral):
     assert err.value.rejection.leading_minor == 0
 
 
+def test_one_point_extension_borders_one_row(equilateral, eliminations, stored_pivots):
+    certify_membership(equilateral)
+    calls, rows = eliminations.calls, eliminations.rows
+    ext = one_point_extension_witness(equilateral, [F(1), F(1), F(4, 3)])
+    assert (eliminations.calls - calls, eliminations.rows - rows) == (1, 1)
+    assert stored_pivots(ext) == ldlt(gram_entries(ext))[1]
+
+
 def test_extension_over_orthogonal_pair_exact_pivots(orthogonal_pair):
     # prescribe d^2 = 1 to both: bordered Gram [[1,0,1/2],[0,1,1/2],[1/2,1/2,1]]
     ext = one_point_extension_witness(orthogonal_pair, [F(1), F(1)])
@@ -276,6 +284,23 @@ def test_witnesses_reject_fixed_containing_x(equilateral):
         no_algebraicity_witnesses(equilateral, fixed=(0, 1), x_idx=0, m=1)
 
 
+def test_witnesses_reject_negative_fixed_index(equilateral):
+    # -1 would read as point 2, the last one
+    with pytest.raises(IndexError, match="fixed index -1"):
+        no_algebraicity_witnesses(equilateral, fixed=(-1,), x_idx=0, m=1)
+
+
+def test_witnesses_reject_negative_fixed_index_naming_x(equilateral):
+    # -1 reads as point 2, which is x itself, past the check that x is not fixed
+    with pytest.raises(IndexError, match="fixed index -1"):
+        no_algebraicity_witnesses(equilateral, fixed=(-1,), x_idx=2, m=1)
+
+
+def test_witnesses_reject_fixed_index_past_the_end(equilateral):
+    with pytest.raises(IndexError, match="fixed index 7"):
+        no_algebraicity_witnesses(equilateral, fixed=(7,), x_idx=0, m=1)
+
+
 # --- chains ---------------------------------------------------------------------
 
 def test_chain_growth_coherence():
@@ -287,7 +312,7 @@ def test_chain_growth_coherence():
 
 
 def test_grow_chain_eliminates_each_stage_once(eliminations, monkeypatch):
-    # a member start not yet certified, then one elimination per ladder rung
+    # a member start not yet certified, then one bordering per ladder rung
     start = random_extension(empty_space(), 6, np.random.default_rng(37))
     start = space_from_sq(start.sq_dist)
     rungs = []
@@ -299,10 +324,12 @@ def test_grow_chain_eliminates_each_stage_once(eliminations, monkeypatch):
         return snap_and_certify(counted, *args, **kwargs)
 
     monkeypatch.setattr(builder, "snap_and_certify", counting_ladder)
-    before = eliminations.calls
+    calls, rows = eliminations.calls, eliminations.rows
     grow_chain(seed=8, n_stages=6, start=start)
     assert len(rungs) >= 6
-    assert eliminations.calls - before == 1 + len(rungs)
+    assert eliminations.calls - calls == 1 + len(rungs)
+    # the start's six rows, then each rung borders its one new row
+    assert eliminations.rows - rows == 6 + len(rungs)
 
 
 def test_chain_determinism_byte_for_byte(tmp_path):

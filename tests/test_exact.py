@@ -1,4 +1,4 @@
-"""The rational linear algebra layer: minors, Schur complements, snapping."""
+"""The rational linear algebra layer: minors, span projections, snapping."""
 
 from fractions import Fraction as F
 
@@ -7,9 +7,8 @@ import pytest
 
 from exact_oracle import ldlt, snap_dyadic, solve_posdef
 from spherefield.exact import (
+    _span_products,
     leading_minors,
-    pivots_from_minors,
-    schur_complement,
     snap_sq_dist,
     snap_sq_dist_floor,
 )
@@ -36,9 +35,9 @@ def test_minors_match_ldlt_pivots_on_pd_matrices():
         if stop is not None:
             continue
         found += 1
-        pivots = pivots_from_minors(minors)
+        pivots = [m / p for m, p in zip(minors, [F(1)] + minors[:-1])]
         L, d = ldlt(g)
-        assert list(pivots) == d
+        assert pivots == d
         # reconstruct L D L^T exactly
         n = len(g)
         for i in range(n):
@@ -83,8 +82,8 @@ def test_solve_posdef_exact():
             assert sum(g[i][j] * x[j] for j in range(n)) == rhs[i]
 
 
-def test_schur_complement_matches_oracle_solves():
-    # g22 - g21 g11^-1 g12 through the Bareiss kernel and through LDL^T solves
+def test_span_products_match_oracle_solves():
+    # g21 g11^-1 g12 through the Bareiss rows and through LDL^T solves
     rng = np.random.default_rng(4)
     found = 0
     while found < 25:
@@ -96,22 +95,33 @@ def test_schur_complement_matches_oracle_solves():
         for k in range(n + 1):
             g11 = [row[:k] for row in g[:k]]
             w = {j: solve_posdef(g11, [g[a][j] for a in range(k)]) for j in range(k, n)}
-            expect = [[g[i][j] - sum((g[i][a] * w[j][a] for a in range(k)), F(0))
+            expect = [[sum((g[i][a] * w[j][a] for a in range(k)), F(0))
                        for j in range(k, n)] for i in range(k, n)]
-            assert schur_complement(g, k) == expect
+            rows = [row[:k] for row in g[k:]]
+            assert _span_products(g11, rows, rows) == expect
+            # probes and points apart: only the probe x point block
+            half = (n - k) // 2
+            assert _span_products(g11, rows[half:], rows[:half]) == [
+                row[half:] for row in expect[:half]
+            ]
 
 
-def test_schur_complement_edge_cases():
+def test_span_products_edge_cases():
     g = [[F(1), F(1, 3)], [F(1, 3), F(1, 2)]]
-    assert schur_complement(g, 0) == g
-    assert schur_complement(g, 2) == []
-    assert schur_complement(g, 1) == [[F(1, 2) - F(1, 9)]]
+    assert _span_products([], [[], []], [[], []]) == [[0, 0], [0, 0]]
+    assert _span_products(g, [], []) == []
+    assert _span_products(g, [], [[F(1), F(0)]]) == [[]]
+    assert _span_products(g, [[F(1), F(0)]], []) == []
+    assert _span_products([[F(1)]], [[F(1, 3)]], [[F(1, 3)]]) == [[F(1, 9)]]
     singular = [[F(1), F(1), F(0)], [F(1), F(1), F(0)], [F(0), F(0), F(1)]]
-    assert schur_complement(singular, 1) == [[F(0), F(0)], [F(0), F(1)]]
-    with pytest.raises(ArithmeticError):
-        schur_complement(singular, 2)
-    with pytest.raises(ArithmeticError):
-        schur_complement([[F(-1), F(0)], [F(0), F(1)]], 1)
+    rows = [row[:1] for row in singular[1:]]
+    assert _span_products([[F(1)]], rows, rows) == [[F(1), F(0)], [F(0), F(0)]]
+    g11 = [row[:2] for row in singular[:2]]
+    for points in ([], [singular[2][:2]]):
+        with pytest.raises(ArithmeticError):
+            _span_products(g11, points, points)
+        with pytest.raises(ArithmeticError):
+            _span_products([[F(-1)]], [[F(0)] for _ in points], [[F(0)] for _ in points])
 
 
 def test_empty_matrix_is_trivially_pd():

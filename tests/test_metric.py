@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spherefield as sf
+from exact_oracle import ldlt, solve_posdef
 from spherefield import (
+    AmalgamProblem,
     GramMatrix,
     MalformedSpaceError,
     NotMemberError,
@@ -17,19 +19,22 @@ from spherefield import (
     Rejection,
     SnapError,
     UnrealizableTypeError,
+    amalgamate,
     certify_membership,
     embed,
     gram_from_distances,
     is_member,
     near_orthogonal_copy,
+    one_point_extension_witness,
     space_from_sq,
     verify_isometry,
 )
 from spherefield.builder import random_extension
-from spherefield.exact import snap_sq_dist
+from spherefield.exact import leading_minors, snap_sq_dist
 from spherefield.metric import (
     _store_certificate,
     extend_space,
+    gram_entries,
     load_space,
     require_member,
     save_space,
@@ -196,6 +201,148 @@ def test_store_certificate_guards_its_pivots(equilateral, stored_pivots):
     fresh = space_from_sq(equilateral.sq_dist)
     _store_certificate(fresh, [F(1), F(3, 4), F(2, 3)])
     assert stored_pivots(fresh) == [F(1), F(3, 4), F(2, 3)]
+
+
+# --- bordered certificates --------------------------------------------------------
+
+def assert_rows_match_oracle(space):
+    """The stored Bareiss rows give the oracle's LDL^T: L[i][k] = B[i][k]/B[k][k]."""
+    cert = certify_membership(space)
+    rows, scale = cert._bareiss
+    L, d = ldlt(gram_entries(space))
+    assert len(rows) == space.n
+    for i, row in enumerate(rows):
+        assert [F(v, rows[k][k]) for k, v in enumerate(row)] == L[i][: i + 1]
+    minors = [F(row[k], scale ** (k + 1)) for k, row in enumerate(rows)]
+    assert [m / p for m, p in zip(minors, [F(1)] + minors[:-1])] == d
+    assert list(cert.pd_certificate) == d
+
+
+def assert_rejection_matches_oracle(space):
+    """Same index and minor as `leading_minors`, and as the oracle: the
+    minor is det of the accepted block times the Schur residual of the next
+    point over it."""
+    cert = certify_membership(space)
+    assert isinstance(cert, Rejection)
+    g = gram_entries(space)
+    minors, stop = leading_minors(g)
+    assert (cert.pivot_index, cert.leading_minor) == (stop, minors[stop])
+    k = stop
+    block, r = [row[:k] for row in g[:k]], g[k][:k]
+    residual = g[k][k] - sum((a * b for a, b in zip(r, solve_posdef(block, r))), F(0))
+    det = F(1)
+    for p in ldlt(block)[1]:
+        det *= p
+    assert cert.leading_minor == det * residual <= 0
+
+
+def _random_sq(rng, n, den):
+    sq = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            sq[i][j] = sq[j][i] = F(int(rng.integers(1, 4 * den)), den)
+    return sq
+
+
+def test_bordered_rows_match_oracle_on_members_and_non_members():
+    rng = np.random.default_rng(41)
+    seen = {True: 0, False: 0}
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        space = space_from_sq(_random_sq(rng, n, int(rng.integers(1, 9))))
+        member = is_member(space)
+        seen[member] += 1
+        (assert_rows_match_oracle if member else assert_rejection_matches_oracle)(space)
+    for _ in range(5):
+        member = random_extension(sf.empty_space(), int(rng.integers(2, 9)), rng)
+        assert_rows_match_oracle(space_from_sq(member.sq_dist))
+    assert seen[True] >= 5 and seen[False] >= 5
+
+
+def test_extensions_border_onto_the_base_and_match_oracle(eliminations):
+    rng = np.random.default_rng(43)
+    seen = {True: 0, False: 0}
+    for _ in range(30):
+        base = random_extension(sf.empty_space(), int(rng.integers(0, 6)), rng)
+        m = int(rng.integers(1, 4))
+        sq = _random_sq(rng, base.n + m, 16)
+        ext = extend_space(base, [row[: base.n] for row in sq[base.n:]],
+                           [row[base.n:] for row in sq[base.n:]], ["x", "y", "z"][:m])
+        # the remembered base is invisible to equality, hash and repr
+        twin = sf.SpaceDistances(labels=ext.labels, sq_dist=ext.sq_dist)
+        assert ext == twin and hash(ext) == hash(twin) and repr(ext) == repr(twin)
+        member = is_member(ext)
+        seen[member] += 1
+        if member:
+            assert_rows_match_oracle(ext)
+        else:
+            assert_rejection_matches_oracle(ext)
+            assert certify_membership(ext).pivot_index >= base.n
+    assert seen[True] >= 3 and seen[False] >= 3
+    # a chain of uncertified extensions is certified at once, each row bordered once
+    big = random_extension(sf.empty_space(), 7, rng)
+    chain = [space_from_sq(big.restrict(range(3)).sq_dist)]
+    for j in range(3, 7):
+        chain.append(extend_space(chain[-1], [big.sq_dist[j][:j]], [[None]], [f"c{j}"]))
+    calls, rows = eliminations.calls, eliminations.rows
+    assert_rows_match_oracle(chain[-1])
+    assert (eliminations.calls - calls, eliminations.rows - rows) == (5, 7)
+    for stage in chain:
+        assert_rows_match_oracle(stage)
+    # the extension of a rejected base keeps the base's witness
+    far = space_from_sq([[0, 4], [4, 0]])
+    ext = extend_space(far, [[F(1), F(1)]], [[None]], ["x"])
+    assert certify_membership(ext) == certify_membership(far)
+
+
+def test_finer_denominators_rescale_the_stored_rows():
+    rng = np.random.default_rng(47)
+    base = random_extension(sf.empty_space(), 6, rng)  # 32-bit grid
+    base_rows = certify_membership(base)._bareiss[0]
+    coords = np.hstack([embed(base).coords, np.zeros((6, 1))])
+    for _ in range(3):
+        v = rng.standard_normal(7)
+        v /= np.linalg.norm(v)
+        to_old = [snap_sq_dist(float(np.sum((c - v) ** 2)), 64) for c in coords]
+        ext = extend_space(base, [to_old], [[None]], ["x"])
+        assert_rows_match_oracle(ext)
+        assert certify_membership(ext)._bareiss[1] > certify_membership(base)._bareiss[1]
+    # 1/3-denominator prescriptions over dyadic bases
+    pair = space_from_sq([[0, 1], [1, 0]])
+    for space, dists in ((base, [F(11, 6)] + [F(2)] * 5), (pair, [F(4, 3), F(5, 3)])):
+        ext = one_point_extension_witness(space, dists)
+        assert_rows_match_oracle(ext)
+        assert certify_membership(ext)._bareiss[1] == 3 * certify_membership(space)._bareiss[1]
+    assert certify_membership(base)._bareiss[0] is base_rows
+    # on the base's own grid an extension shares the base's row tuples
+    same = random_extension(base, 1, rng)
+    assert all(a is b for a, b in zip(certify_membership(same)._bareiss[0], base_rows))
+    assert_rows_match_oracle(base)
+
+
+def test_composed_certificate_gets_rows_when_first_extended():
+    rng = np.random.default_rng(53)
+    common = random_extension(sf.empty_space(), 2, rng)
+    left, right = random_extension(common, 3, rng), random_extension(common, 2, rng)
+    out = amalgamate(AmalgamProblem(left=left, right=right, common_left=(0, 1),
+                                    common_right=(0, 1)))
+    assert certify_membership(out)._bareiss == ((), 1)
+    ext = random_extension(out, 2, rng)
+    assert_rows_match_oracle(ext)
+    assert_rows_match_oracle(out)
+
+
+def test_zero_distance_prescription_keeps_a_zero_minor(equilateral):
+    with pytest.raises(UnrealizableTypeError) as err:
+        one_point_extension_witness(equilateral, [F(0), F(1), F(1)])
+    row = [F(1), F(1, 2), F(1, 2)]  # polarized: the new point coincides with point 0
+    g = [list(g_row) + [r] for g_row, r in zip(gram_entries(equilateral), row)] + [row + [F(1)]]
+    minors, stop = leading_minors(g)
+    rejection = err.value.rejection
+    assert (rejection.pivot_index, rejection.leading_minor) == (stop, minors[stop]) == (3, 0)
+    with pytest.raises(UnrealizableTypeError) as err:
+        sf.type_sphere(equilateral, [F(0), F(1), F(1)])
+    assert err.value.rejection == rejection
 
 
 # --- embedding ------------------------------------------------------------------

@@ -23,7 +23,9 @@ from spherefield import (
     sphere_angle,
     type_sphere,
 )
+from spherefield import typegeom
 from spherefield.builder import random_extension
+from spherefield.metric import snap_and_certify
 from spherefield.typegeom import prescription_error
 
 
@@ -84,9 +86,31 @@ def test_radius_independent_of_row_order():
 
 
 def test_type_sphere_eliminates_c_once(scalene, eliminations):
-    # C once, and the bordered matrix C u {x} once
+    # C's three rows once, then the profile's one row bordered onto them
     type_sphere(scalene, [F(1), F(1), F(1)])
     assert eliminations.calls == 2
+    assert eliminations.rows == 4
+
+
+def test_realized_pair_space_borders_two_rows_per_rung(scalene, eliminations, monkeypatch):
+    # antipodal realizations on a 2-bit grid: the first rung fails, the second certifies
+    ts = type_sphere(scalene, [F(1), F(1), F(1)])
+    x = realize_type(ts, [1.0, 0.0, 0.0])
+    y = realize_type(ts, [-1.0, 0.0, 0.0])
+    rungs = []
+
+    def counting_ladder(build, *args, **kwargs):
+        def counted(snapped):
+            rungs.append(snapped)
+            return build(snapped)
+        return snap_and_certify(counted, *args, **kwargs)
+
+    monkeypatch.setattr(typegeom, "snap_and_certify", counting_ladder)
+    calls, rows = eliminations.calls, eliminations.rows
+    realized_pair_space(ts, x, y, denom_bits=2)
+    assert len(rungs) == 2
+    assert eliminations.calls - calls == 2
+    assert eliminations.rows - rows == 4
 
 
 # --- realization ----------------------------------------------------------------
