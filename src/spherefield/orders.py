@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .gaussian import Estimate, GaussianModel, sample
 from .metric import space_hash
@@ -156,8 +155,11 @@ def uniformity_test(dist: OrderDistribution) -> tuple[float, float]:
     """Chi-square test of the ordering counts against the uniform law on k! cells.
 
     Requires every expected count to be at least 5. k = 1 is degenerate:
-    statistic 0, p-value 1.
+    statistic 0, p-value 1. `scipy.special` is imported here, so that only a
+    process that runs a chi-square pays for loading it.
     """
+    from scipy.special import chdtrc
+
     cells = math.factorial(dist.k)
     if cells == 1:
         return 0.0, 1.0

@@ -284,7 +284,8 @@ def _hash_tree(directory):
         for name in names:
             path = os.path.join(root, name)
             rel = os.path.relpath(path, directory)
-            out[rel] = hashlib.sha256(open(path, "rb").read()).hexdigest()
+            with open(path, "rb") as fh:
+                out[rel] = hashlib.sha256(fh.read()).hexdigest()
     return out
 
 

@@ -3,11 +3,23 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from spherefield import save_space, space_from_sq
-from spherefield.cli import main
+import spherefield
+from spherefield import (
+    build_model,
+    empty_space,
+    random_extension,
+    sample,
+    save_space,
+    space_from_sq,
+)
+from spherefield.cli import build_parser, main, make_config
 
 
 @pytest.fixture
@@ -43,9 +55,7 @@ def _outputs(outdir):
     for root, _, names in os.walk(outdir):
         for name in names:
             p = os.path.join(root, name)
-            files[os.path.relpath(p, outdir)] = hashlib.sha256(
-                open(p, "rb").read()
-            ).hexdigest()
+            files[os.path.relpath(p, outdir)] = hashlib.sha256(Path(p).read_bytes()).hexdigest()
     return files
 
 
@@ -173,9 +183,53 @@ def test_sample_csv_header_names_points(tri_file, tmp_path):
     out = str(tmp_path / "out")
     assert main(["sample", "--space", tri_file, "--samples", "20", "--out", out]) == 0
     csv = next(n for n in os.listdir(out) if n.endswith(".csv"))
-    lines = open(os.path.join(out, csv)).read().splitlines()
+    lines = Path(out, csv).read_text().splitlines()
     assert lines[1] == "p0,p1,p2"
     assert len(lines) == 22  # hash comment + header + 20 rows
+
+
+def sample_csv_reference(cfg, labels, draws) -> bytes:
+    """The CSV export as one `repr` per value, row by row."""
+    lines = ["# config_hash=%s seed=%d\n" % (cfg.hash(), cfg.seed), ",".join(labels) + "\n"]
+    for row in draws:
+        lines.append(",".join(repr(float(v)) for v in row) + "\n")
+    return "".join(lines).encode()
+
+
+CSV_SPACES = {
+    0: empty_space(),
+    1: space_from_sq([[0]]),
+    3: space_from_sq([[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+    8: random_extension(empty_space(), 8, np.random.default_rng(41)),
+}
+
+
+@pytest.mark.parametrize("samples", [0, 1, 4095, 4096, 4097])
+@pytest.mark.parametrize("n_points", sorted(CSV_SPACES))
+def test_sample_csv_matches_repr_reference(n_points, samples, tmp_path):
+    # the block writer formats 4096 rows per call; these sizes cross its edges
+    space = CSV_SPACES[n_points]
+    path = tmp_path / "space.json"
+    save_space(space, path)
+    argv = ["sample", "--space", str(path), "--samples", str(samples),
+            "--seed", "6", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    cfg = make_config(build_parser().parse_args(argv))
+    (csv,) = (tmp_path / "out").glob("*.csv")
+    draws = sample(build_model(space, seed=6), samples)
+    assert csv.read_bytes() == sample_csv_reference(cfg, space.labels, draws)
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, so that no other test's imports count
+    src = os.path.dirname(os.path.dirname(spherefield.__file__))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    code = ("import sys, spherefield.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_sample_npy(tri_file, tmp_path):
@@ -183,7 +237,6 @@ def test_sample_npy(tri_file, tmp_path):
     rc = main(["sample", "--space", tri_file, "--samples", "10",
                "--format", "npy", "--out", out])
     assert rc == 0
-    import numpy as np
     npy = next(n for n in os.listdir(out) if n.endswith(".npy"))
     assert np.load(os.path.join(out, npy)).shape == (10, 3)
 
@@ -196,7 +249,7 @@ def test_mixing_csv_rows(one_file, tmp_path):
                "--samples", "20000", "--out", out])
     assert rc == 0
     csv = next(n for n in os.listdir(out) if n.endswith(".csv"))
-    lines = open(os.path.join(out, csv)).read().splitlines()
+    lines = Path(out, csv).read_text().splitlines()
     assert lines[0] == "k,joint,product,kl,tv_bound"
     assert len(lines) == 3
 
@@ -206,7 +259,7 @@ def test_mixing_empty_k_header_only(one_file, tmp_path):
     rc = main(["mixing", "--space", one_file, "--k", "", "--samples", "100", "--out", out])
     assert rc == 0
     csv = next(n for n in os.listdir(out) if n.endswith(".csv"))
-    assert open(os.path.join(out, csv)).read() == "k,joint,product,kl,tv_bound\n"
+    assert Path(out, csv).read_text() == "k,joint,product,kl,tv_bound\n"
 
 
 def test_mixing_invalid_event_index_exits_one(one_file, tmp_path):
@@ -291,13 +344,13 @@ def test_config_file_supplies_defaults_and_flags_win(tri_file, tmp_path):
     out1 = str(tmp_path / "o1")
     assert main(["--config", str(cfg), "sample", "--space", tri_file, "--out", out1]) == 0
     csv1 = next(n for n in os.listdir(out1) if n.endswith(".csv"))
-    assert len(open(os.path.join(out1, csv1)).read().splitlines()) == 52  # 50 rows
+    assert len(Path(out1, csv1).read_text().splitlines()) == 52  # 50 rows
 
     out2 = str(tmp_path / "o2")
     assert main(["--config", str(cfg), "sample", "--space", tri_file,
                  "--samples", "10", "--out", out2]) == 0
     csv2 = next(n for n in os.listdir(out2) if n.endswith(".csv"))
-    assert len(open(os.path.join(out2, csv2)).read().splitlines()) == 12  # flag wins
+    assert len(Path(out2, csv2).read_text().splitlines()) == 12  # flag wins
 
 
 # --- reproducibility ------------------------------------------------------------

@@ -176,19 +176,28 @@ def energy_test_reference(x, y, rng, n_permutations):
         (35, 35, 2, 0.2, 0),
         (18, 27, 3, 0.0, 0),
         (1, 1, 2, 0.0, 9),
+        # y is made of duplicated rows of x, so some distances are exactly 0
+        (40, 30, 3, "dup", 99),
+        (25, 61, 2, "dup", 50),
+        (1, 1, 2, "dup", 9),
     ],
 )
 def test_energy_test_matches_reference(nx, ny, dim, shift, n_permutations):
     data = np.random.default_rng(nx * 1000 + ny)
     x = data.normal(size=(nx, dim))
-    y = data.normal(size=(ny, dim)) + shift
-    rng_a, rng_b = np.random.default_rng(77), np.random.default_rng(77)
-    stat, p = energy_distance_test(x, y, rng_a, n_permutations)
-    ref_stat, ref_p = energy_test_reference(x, y, rng_b, n_permutations)
-    assert p == ref_p
-    assert abs(stat - ref_stat) <= 1e-9 * abs(ref_stat)
-    # the shuffles consume the generator exactly as before
-    assert rng_a.random() == rng_b.random()
+    if shift == "dup":
+        y = x[data.integers(0, nx, size=ny)]
+    else:
+        y = data.normal(size=(ny, dim)) + shift
+    # a common offset leaves every distance unchanged
+    for offset in (0.0, 1e5):
+        rng_a, rng_b = np.random.default_rng(77), np.random.default_rng(77)
+        stat, p = energy_distance_test(x + offset, y + offset, rng_a, n_permutations)
+        ref_stat, ref_p = energy_test_reference(x + offset, y + offset, rng_b, n_permutations)
+        assert p == ref_p
+        assert abs(stat - ref_stat) <= 1e-9 * abs(ref_stat)
+        # the shuffles consume the generator exactly as before
+        assert rng_a.random() == rng_b.random()
 
 
 def test_energy_test_rejects_empty_sample():
