@@ -244,21 +244,26 @@ def grow_chain(
 
     Stage i is an exact principal submatrix of stage i+1 (identity on
     indices). New distances come from uniform sphere sampling, which is a
-    modeling choice recorded in the log, not a canonical measure.
+    modeling choice recorded in the log, not a canonical measure. The log
+    also records the largest bit length of a new entry's denominator (33 on
+    the 32-bit grid, more after a finer rung) and the smallest new pivot.
     """
     rng = np.random.default_rng(seed)
     current = start if start is not None else SpaceDistances(labels=(), sq_dist=())
-    stages = [current]
-    log = []
+    stages, log = [current], []
     for stage in range(n_stages):
-        current = random_extension(current, points_per_stage, rng, denom_bits=denom_bits)
+        prev, current = current.n, random_extension(current, points_per_stage, rng, denom_bits)
         stages.append(current)
+        new_pivots = require_member(current, "stage").pd_certificate[prev:]  # stored, not computed
         log.append(
             {
                 "stage": stage + 1,
                 "added": points_per_stage,
                 "n": current.n,
                 "denom_bits": denom_bits,
+                "max_den_bits": max((v.denominator.bit_length()
+                                     for row in current.sq_dist[prev:] for v in row), default=0),
+                "min_new_pivot": float(min(new_pivots)) if new_pivots else None,
                 "extension_measure": "uniform-sphere (modeling choice)",
             }
         )

@@ -26,7 +26,7 @@ class UnrealizableTypeError(NotMemberError):
 
 
 class PrecisionError(SphereFieldError, ArithmeticError):
-    """Exact data is too ill-conditioned for double-precision processing."""
+    """A float result missed its tolerance in a round-trip or bisection check."""
 
 
 class SnapError(SphereFieldError, RuntimeError):

@@ -2,9 +2,9 @@
 
 The covariance of the field is exactly the rational Gram matrix of the
 space: each variable is standard normal and the correlation of the
-variables at two points equals their inner product. Sampling converts the
-exact covariance to floats once, factors it, and drives the factor with a
-counter-based normal stream, so draws are reproducible from (seed, count).
+variables at two points equals their inner product. Sampling rounds the
+exact factor L sqrt(D) of the covariance to floats once and drives it with
+a counter-based normal stream, so draws are reproducible from (seed, count).
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ class GaussianModel:
 
 def build_model(space: SpaceDistances, seed: int = 0) -> GaussianModel:
     """Model of the field on a certified space; the factor is `embed`'s
-    coordinates. Raises on non-members and on exact-PD matrices that
-    degenerate at double precision."""
+    coordinates, the exact factor rounded. Raises NotMemberError on
+    non-members and PrecisionError when a factor round-trip check fails."""
     chol = embed(space).coords
     model = GaussianModel(space=space, sigma=gram_entries(space), chol=chol, seed=seed)
     if space.n and np.max(np.abs(model.chol @ model.chol.T - model.sigma_float())) > 1e-10:

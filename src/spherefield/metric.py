@@ -2,16 +2,17 @@
 
 A space is stored as the exact rational matrix of squared pairwise
 distances between points on the unit sphere; the base point at the origin
-is implicit (every point is at distance exactly 1 from it, which is never
-stored). Membership in the hereditary class of such spaces in general
-position is equivalent to the polarized Gram matrix being positive
-definite, which is decided exactly.
+is implicit (at distance exactly 1 from every point, never stored).
+Membership in the hereditary class of such spaces in general position is
+equivalent to the polarized Gram matrix being positive definite, decided
+exactly; float coordinates are the certificate's exact factor, rounded.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -89,8 +90,8 @@ class GramMatrix:
     `pd_certificate`, when set, holds the exact LDL^T pivots (all > 0):
     L diag(d) L^T reproduces the matrix exactly, and `_bareiss` keeps the
     rows B (L[i][k] = B[i][k] / B[k][k]) and scale of its elimination for
-    extensions to border onto. A space's certificate is computed at most
-    once per SpaceDistances instance and stored on it.
+    extensions to border onto and the float factor to round. A space's
+    certificate is computed at most once per instance and stored on it.
     """
 
     g: FracMatrix
@@ -118,10 +119,6 @@ class GramMatrix:
     @property
     def n(self) -> int:
         return len(self.g)
-
-    def to_float(self) -> np.ndarray:
-        n = self.n
-        return np.array([[float(v) for v in row] for row in self.g], dtype=float).reshape(n, n)
 
 
 @dataclass(frozen=True)
@@ -230,12 +227,27 @@ def certify_membership(space: SpaceDistances) -> GramMatrix | Rejection:
     return space._cert
 
 
-def _extend_certificate(cert: GramMatrix, new) -> GramMatrix | Rejection:
-    """cert's matrix bordered by the lower Gram rows `new`: certificate or rejection."""
+def _rows(cert: GramMatrix):
+    """cert's Bareiss rows and scale; from one elimination if it has pivots only."""
     if len(cert._bareiss[0]) < cert.n:
         rows, scale, _ = _border((), 1, [row[: j + 1] for j, row in enumerate(cert.g)])
         object.__setattr__(cert, "_bareiss", (rows, scale))
-    rows, scale, stop = _border(*cert._bareiss, new)
+    return cert._bareiss
+
+
+def _factor(cert: GramMatrix) -> np.ndarray:
+    """L sqrt(D) rounded entry by entry: C[i][k] = B[i][k] / B[k][k] * sqrt(d_k)."""
+    rows = _rows(cert)[0]
+    roots = [math.sqrt(d) for d in cert.pd_certificate]
+    out = np.zeros((cert.n, cert.n))
+    for i, row in enumerate(rows):
+        out[i, : i + 1] = [b / rows[k][k] * roots[k] for k, b in enumerate(row)]
+    return out
+
+
+def _extend_certificate(cert: GramMatrix, new) -> GramMatrix | Rejection:
+    """cert's matrix bordered by the lower Gram rows `new`: certificate or rejection."""
+    rows, scale, stop = _border(*_rows(cert), new)
     if stop is not None:
         return Rejection(stop, Fraction(rows[stop][stop], scale ** (stop + 1)))
     g = [list(row) for row in cert.g]
@@ -341,23 +353,16 @@ def snap_and_certify(
 def embed(space: SpaceDistances, tol: float = 1e-9) -> EmbeddedSpace:
     """Unit-sphere coordinates (n rows in n dimensions) realizing the space.
 
-    The exact Gram matrix is converted to floats only here, then factored
-    (Cholesky); the rows of the factor are the coordinates. Raises
-    NotMemberError when certification fails and PrecisionError when the
-    exactly-PD matrix is degenerate at double precision or the round-trip
-    error exceeds tol.
+    The coordinates are the rows of the exact factor L sqrt(D) of the Gram
+    matrix, read from the certificate's Bareiss rows and rounded entry by
+    entry; no float matrix is factored. Raises NotMemberError when
+    certification fails and PrecisionError when a row norm or the
+    squared-distance round-trip error exceeds tol.
     """
     cert = require_member(space, "space")
     if space.n == 0:
         return EmbeddedSpace(coords=np.zeros((0, 0)), tol=tol)
-    try:
-        coords = np.linalg.cholesky(cert.to_float())
-    except np.linalg.LinAlgError as exc:
-        raise PrecisionError(
-            "exact matrix is positive definite but float factorization failed; "
-            "the space is too ill-conditioned for double precision"
-        ) from exc
-    emb = EmbeddedSpace(coords=coords, tol=tol)
+    emb = EmbeddedSpace(coords=_factor(cert), tol=tol)
     if np.max(np.abs(np.linalg.norm(emb.coords, axis=1) - 1.0)) > tol:
         raise PrecisionError("embedded row norms deviate from 1 beyond tol")
     exact = np.array([[float(v) for v in row] for row in space.sq_dist], dtype=float)

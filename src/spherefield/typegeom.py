@@ -25,9 +25,9 @@ from .metric import (
     EmbeddedSpace,
     SpaceDistances,
     _border_point,
+    _factor,
     embed,
     extend_space,
-    polarize,
     require_member,
     snap_and_certify,
 )
@@ -70,7 +70,10 @@ def type_sphere(
 
     Requires C certified and the extended configuration C u {x} certified
     (strictly positive definite); otherwise the profile is not realizable
-    and UnrealizableTypeError carries the pivot witness.
+    and UnrealizableTypeError carries the pivot witness. rho^2 is the bordered
+    pivot; if the profile's row is r = L D l, the centre is sqrt(D) l, that
+    row of the bordered factor rounded like `embed`'s coordinates. Raises
+    PrecisionError when `embed(C)` does, or 1 - |center|^2 drifts from rho^2.
     """
     dists = tuple(as_fraction(d) for d in dists_to_C)
     if len(dists) != C.n:
@@ -78,15 +81,12 @@ def type_sphere(
     if any(d < 0 for d in dists):
         raise ValueError("prescribed squared distances must be nonnegative")
     cert = require_member(C, "base configuration", UnrealizableTypeError)
-    rho_sq_exact = _border_point(cert, dists, "profile").pd_certificate[-1]
+    bordered = _border_point(cert, dists, "profile")
+    rho_sq_exact = bordered.pd_certificate[-1]
     n = C.n
 
-    coords = np.zeros((n, n + 3))
-    coords[:, :n] = embed(C, tol=tol).coords
-    base = EmbeddedSpace(coords=coords, tol=tol)
-
-    rhs = np.array([float(polarize(d)) for d in dists])
-    center = np.linalg.solve(cert.to_float(), rhs) @ coords  # zeros(3) over an empty C
+    base = EmbeddedSpace(coords=np.pad(embed(C, tol=tol).coords, ((0, 0), (0, 3))), tol=tol)
+    center = np.pad(_factor(bordered)[n, :n], (0, 3))
     radius_sq = 1.0 - float(center @ center)
     if abs(radius_sq - float(rho_sq_exact)) > max(tol, 1e-8):
         raise PrecisionError(

@@ -115,7 +115,8 @@ def test_amalgam_restrictions_and_strongness_random(stored_pivots):
             assert stored_pivots(out) == ldlt(gram_entries(out))[1]
 
 
-def test_embed_and_model_of_amalgam_run_no_elimination(eliminations):
+def test_embed_of_amalgam_eliminates_once_then_model_reuses_rows(eliminations):
+    # the composed certificate carries pivots only: embed gets its rows once
     rng = np.random.default_rng(31)
     base = random_extension(empty_space(), 2, rng)
     left = random_extension(base, 3, rng)
@@ -124,8 +125,9 @@ def test_embed_and_model_of_amalgam_run_no_elimination(eliminations):
                                     common_right=(0, 1)))
     before = eliminations.calls
     embed(out)
+    assert eliminations.calls == before + 1
     build_model(out)
-    assert eliminations.calls == before
+    assert eliminations.calls == before + 1
 
 
 def test_amalgam_rejects_non_isometric_identification():
@@ -359,6 +361,25 @@ def test_chain_load_detects_corruption(tmp_path):
     target.write_text(json.dumps(obj))
     with pytest.raises(ValueError, match="hash"):
         load_chain(tmp_path / "chain")
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_grow_chain_reaches_forty_points(seed):
+    chain = grow_chain(seed, 40)
+    assert chain.stages[-1].n == 40
+    assert isinstance(certify_membership(chain.stages[-1]), GramMatrix)
+
+
+def test_chain_log_records_grid_bits_and_new_pivots():
+    chain = grow_chain(seed=0, n_stages=40)
+    d = ldlt(gram_entries(chain.stages[-1]))[1]
+    for entry, stage in zip(chain.log, chain.stages[1:]):
+        new = [v for row in stage.sq_dist[stage.n - 1:] for v in row]
+        assert entry["denom_bits"] == 32  # the configured start, whatever rung was used
+        assert entry["max_den_bits"] == max(v.denominator.bit_length() for v in new)
+        assert entry["min_new_pivot"] == float(d[stage.n - 1])
+    bits = [entry["max_den_bits"] for entry in chain.log]
+    assert max(bits) > 33 and 33 in bits  # some stages needed a finer rung, others not
 
 
 def test_chain_log_records_measure_choice():

@@ -351,10 +351,11 @@ def test_mixing_multi_coordinate_event(equilateral):
 
 
 def test_mixing_certifies_the_space_once(scalene, eliminations):
-    # every combined space carries the certificate its copy composed
+    # every combined space carries the pivots its copy composed; its factor
+    # takes the rows from one elimination per k
     ev = CylinderEvent(constraints=((0, ">", F(0)),))
     mixing_experiment(scalene, ev, k_values=(2, 4, 8, 16), samples=1000, seed=25)
-    assert eliminations.calls == 1
+    assert eliminations.calls == 1 + 4
 
 
 def test_mixing_rejects_bad_event_index(equilateral):

@@ -1,6 +1,7 @@
 """Membership certification, polarization, embedding, isometries, file I/O."""
 
 import json
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -379,6 +380,27 @@ def test_embed_round_trip_medium_sizes():
         emb = embed(space, tol=1e-9)
         exact = np.array([[float(v) for v in row] for row in space.sq_dist])
         assert np.max(np.abs(emb.sq_distances() - exact)) <= 1e-9
+
+
+def _oracle_factor(space):
+    """L sqrt(D) from the Fraction LDL^T oracle, each entry rounded once."""
+    L, d = ldlt(gram_entries(space))
+    return [[float(L[i][k]) * math.sqrt(d[k]) if k <= i else 0.0 for k in range(space.n)]
+            for i in range(space.n)]
+
+
+def test_embed_is_the_exact_factor_rounded_bit_for_bit():
+    rng = np.random.default_rng(59)
+    members = [random_extension(sf.empty_space(), n, rng) for n in (1, 5, 12)]
+    # grown stages up to 40 points: ill-conditioned, the smallest exact pivot 3.6e-5
+    grown = list(sf.grow_chain(3, 40).stages[16::8])
+    _, copied, _ = near_orthogonal_copy(members[2], 3)
+    base = random_extension(sf.empty_space(), 3, rng)
+    left, right = random_extension(base, 4, rng), random_extension(base, 5, rng)
+    amalgam = amalgamate(AmalgamProblem(left=left, right=right, common_left=(0, 1, 2),
+                                        common_right=(0, 1, 2)))
+    for space in members + grown + [copied, amalgam]:
+        assert embed(space).coords.tolist() == _oracle_factor(space)
 
 
 def test_embedded_coords_are_read_only(equilateral):

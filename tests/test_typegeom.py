@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import spherefield as sf
+from exact_oracle import ldlt
 from spherefield import (
     SearchError,
     UnrealizableTypeError,
@@ -25,7 +26,7 @@ from spherefield import (
 )
 from spherefield import typegeom
 from spherefield.builder import random_extension
-from spherefield.metric import snap_and_certify
+from spherefield.metric import gram_entries, snap_and_certify
 from spherefield.typegeom import prescription_error
 
 
@@ -361,3 +362,14 @@ def test_sphere_angle_symmetry(free_sphere, xy_at_60):
     x, y = xy_at_60
     assert abs(sphere_angle(free_sphere, x, y) - sphere_angle(free_sphere, y, x)) < 1e-12
     assert abs(sphere_angle(free_sphere, x, y) - math.pi / 3) < 1e-9
+
+
+def test_type_sphere_centre_is_the_bordered_factor_row_rounded():
+    # an ill-conditioned 16-point chain prefix: the float radius^2 must
+    # still agree with the exact rho^2 to rounding
+    s = sf.grow_chain(2, 20).stages[-1]
+    ts = type_sphere(s.restrict(range(16)), s.sq_dist[16][:16])
+    L, d = ldlt(gram_entries(s))
+    assert ts.center.tolist() == [float(L[16][k]) * math.sqrt(d[k]) for k in range(16)] + [0.0] * 3
+    assert ts.radius_sq_exact == d[16]
+    assert abs(ts.radius_sq - float(d[16])) <= 1e-15
