@@ -11,6 +11,7 @@ rounding and never identifies points outside the common part.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -27,11 +28,10 @@ from .metric import (
     _store_certificate,
     embed,
     extend_space,
-    load_space,
     require_member,
-    save_space,
     snap_and_certify,
-    space_hash,
+    space_from_json,
+    space_to_json,
     verify_isometry,
 )
 from .sampling import random_unit_vectors
@@ -273,36 +273,41 @@ def grow_chain(
 
 
 def save_chain(chain: GenericChain, directory) -> None:
+    """Write the last stage once, as `stage_{n_stages-1:03d}.json`, and a manifest with each
+    stage's size and that file's sha256; ValueError, writing nothing, unless the stages nest."""
+    last = chain.stages[-1]
+    for i, st in enumerate(chain.stages):
+        rows = tuple(row[:st.n] for row in last.sq_dist[:st.n])
+        if st.labels != last.labels[:st.n] or st.sq_dist != rows:
+            raise ValueError(f"stage {i} is not a prefix of the last stage")
+    blob = (json.dumps(space_to_json(last), sort_keys=True) + "\n").encode()
     os.makedirs(directory, exist_ok=True)
-    hashes = []
-    for i, stage in enumerate(chain.stages):
-        path = os.path.join(directory, f"stage_{i:03d}.json")
-        save_space(stage, path)
-        hashes.append(space_hash(stage))
-    manifest = {
-        "seed": chain.seed,
-        "denom_bits": chain.denom_bits,
-        "n_stages": len(chain.stages),
-        "stage_hashes": hashes,
-        "log": list(chain.log),
-    }
+    with open(os.path.join(directory, f"stage_{len(chain.stages) - 1:03d}.json"), "wb") as fh:
+        fh.write(blob)
+    manifest = {"seed": chain.seed, "denom_bits": chain.denom_bits, "n_stages": len(chain.stages),
+                "stage_points": [st.n for st in chain.stages],
+                "last_stage_sha256": hashlib.sha256(blob).hexdigest(), "log": list(chain.log)}
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
 def load_chain(directory) -> GenericChain:
+    """Check the last stage's hash, then rebuild stage i as its first
+    `stage_points[i]` points. ValueError on a hash mismatch, or unless
+    `stage_points` rises from 0 to the last stage's n in n_stages steps."""
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
-    stages = []
-    for i in range(manifest["n_stages"]):
-        stage = load_space(os.path.join(directory, f"stage_{i:03d}.json"))
-        if space_hash(stage) != manifest["stage_hashes"][i]:
-            raise ValueError(f"stage {i} hash mismatch: file corrupted or edited")
-        stages.append(stage)
-    return GenericChain(
-        stages=tuple(stages),
-        seed=manifest["seed"],
-        denom_bits=manifest["denom_bits"],
-        log=tuple(manifest["log"]),
-    )
+    points, n_stages = manifest.get("stage_points"), manifest["n_stages"]
+    if (not isinstance(points, list) or not points or len(points) != n_stages
+            or any(a > b for a, b in zip([0] + points, points))):
+        raise ValueError(f"bad manifest stage_points: {points}")
+    with open(os.path.join(directory, f"stage_{n_stages - 1:03d}.json"), "rb") as fh:
+        blob = fh.read()
+    if hashlib.sha256(blob).hexdigest() != manifest["last_stage_sha256"]:
+        raise ValueError(f"stage {n_stages - 1} hash mismatch: file corrupted or edited")
+    last = space_from_json(json.loads(blob))
+    if points[-1] != last.n:
+        raise ValueError(f"bad manifest stage_points: {points} for a {last.n}-point last stage")
+    stages = tuple(last.restrict(range(p)) for p in points)
+    return GenericChain(stages, manifest["seed"], manifest["denom_bits"], tuple(manifest["log"]))

@@ -261,13 +261,16 @@ def invariance_check(
 class NonproductWitness:
     """A pair of points whose exact correlation is a nonzero rational.
 
-    Any mixture of iid product measures would force every off-diagonal
-    correlation to zero, so the exact value is the certificate; the
-    empirical correlation is a sanity check only.
+    A nonzero correlation certifies only that the field is not iid: a mixture
+    of iid laws has Cov(f(X_a), f(X_b)) = Var(int f dnu) >= 0, equal for all
+    pairs a != b. `not_iid_mixture` is True iff some exact correlation is
+    negative or two differ; Cov(Phi(X_a), Phi(X_b)) = arcsin(g_ab/2)/(2 pi)
+    is odd and increasing, so the exact rationals decide it with no float.
     """
 
     pair: tuple[int, int]
     exact_correlation: Fraction
+    not_iid_mixture: bool
     empirical_correlation: float
     confidence_interval: tuple[float, float]
     n_samples: int
@@ -281,13 +284,9 @@ def nonproduct_witness(
     n = model.n
     if n < 2:
         raise ValueError("need at least two points")
-    best, best_val = None, Fraction(0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = model.sigma[i][j]
-            if abs(v) > abs(best_val):
-                best, best_val = (i, j), v
-    if best is None or best_val == 0:
+    corr = {(i, j): model.sigma[i][j] for i in range(n) for j in range(i + 1, n)}
+    best = max(corr, key=lambda pair: abs(corr[pair]))  # the first maximal pair
+    if corr[best] == 0:
         return None
     draws = sample(model, n_samples)
     xi, xj = draws[:, best[0]], draws[:, best[1]]
@@ -295,7 +294,8 @@ def nonproduct_witness(
     se = (1.0 - r * r) / math.sqrt(n_samples)
     return NonproductWitness(
         pair=best,
-        exact_correlation=best_val,
+        exact_correlation=corr[best],
+        not_iid_mixture=min(corr.values()) < 0 or len(set(corr.values())) > 1,
         empirical_correlation=r,
         confidence_interval=(r - 1.96 * se, r + 1.96 * se),
         n_samples=n_samples,

@@ -26,7 +26,7 @@ from spherefield import (
     verify_isometry,
 )
 from spherefield import builder
-from spherefield.exact import leading_minors
+from spherefield.exact import leading_minors, snap_sq_dist
 from spherefield.metric import (
     GramMatrix,
     certify_membership,
@@ -350,17 +350,77 @@ def test_chain_save_load_round_trip(tmp_path):
     loaded = load_chain(tmp_path / "chain")
     assert loaded.stages == chain.stages
     assert loaded.seed == chain.seed
+    for t, more in enumerate([
+        grow_chain(seed=9, n_stages=3, points_per_stage=2, start=space_from_sq([[0, 1], [1, 0]])),
+        grow_chain(seed=10, n_stages=0),  # one stage, the empty start
+        grow_chain(seed=10, n_stages=0, start=space_from_sq([[0, 3], [3, 0]])),
+    ]):
+        save_chain(more, tmp_path / f"more{t}")
+        # one stage file, the last, whatever the number of stages
+        assert sorted(p.name for p in (tmp_path / f"more{t}").iterdir()) == [
+            "manifest.json", f"stage_{len(more.stages) - 1:03d}.json"]
+        loaded = load_chain(tmp_path / f"more{t}")
+        assert loaded.stages == more.stages
+        assert (loaded.seed, loaded.denom_bits) == (more.seed, more.denom_bits)
+        assert loaded.log == more.log
 
 
 def test_chain_load_detects_corruption(tmp_path):
     chain = grow_chain(seed=6, n_stages=2)
     save_chain(chain, tmp_path / "chain")
-    target = tmp_path / "chain" / "stage_001.json"
+    target = tmp_path / "chain" / "stage_002.json"  # the one stage file: the last
     obj = json.loads(target.read_text())
     obj["labels"] = ["zzz"]
     target.write_text(json.dumps(obj))
     with pytest.raises(ValueError, match="hash"):
         load_chain(tmp_path / "chain")
+
+
+@pytest.mark.parametrize("stages", [
+    # equal labels, but the middle stage's distance is not the last stage's
+    (space_from_sq([[0]]), space_from_sq([[0, 1], [1, 0]]),
+     space_from_sq([[0, 2, 1], [2, 0, 1], [1, 1, 0]])),
+    # equal distances under different labels
+    (space_from_sq([[0]], labels=("a",)), space_from_sq([[0, 1], [1, 0]], labels=("b", "c"))),
+], ids=["sq_dist", "labels"])
+def test_save_chain_rejects_unnested_stages_and_writes_nothing(stages, tmp_path):
+    chain = builder.GenericChain(stages=stages, seed=0, denom_bits=32)
+    with pytest.raises(ValueError, match="prefix"):
+        save_chain(chain, tmp_path / "chain")
+    assert not (tmp_path / "chain").exists()
+
+
+@pytest.mark.parametrize("points", [None, [0, 1], [0, 1, 2, 3], [1, 0, 2], [-1, 1, 2],
+                                    [0, 1, 1], "012"],
+                         ids=["missing", "short", "long", "decreasing", "negative",
+                              "wrong-end", "not-a-list"])
+def test_load_chain_rejects_bad_stage_points(points, tmp_path):
+    save_chain(grow_chain(seed=12, n_stages=2), tmp_path / "chain")
+    path = tmp_path / "chain" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert manifest["stage_points"] == [0, 1, 2]
+    if points is None:
+        del manifest["stage_points"]
+    else:
+        manifest["stage_points"] = points
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="stage_points"):
+        load_chain(tmp_path / "chain")
+
+
+def test_long_prefix_chain_directory_stays_small(tmp_path):
+    # 97 stages: the prefixes of a random 96-point space, 0 to 96 points
+    rng = np.random.default_rng(96)
+    x = rng.standard_normal((96, 192))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    d = ((x[:, None] - x[None]) ** 2).sum(-1)
+    last = space_from_sq([[0 if i == j else snap_sq_dist(float(d[i, j]), 32) for j in range(96)]
+                          for i in range(96)])
+    chain = builder.GenericChain(tuple(last.restrict(range(i)) for i in range(97)), 0, 32)
+    save_chain(chain, tmp_path / "chain")
+    files = list((tmp_path / "chain").iterdir())
+    assert sorted(p.name for p in files) == ["manifest.json", "stage_096.json"]
+    assert sum(p.stat().st_size for p in files) <= 1_000_000
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -143,7 +143,8 @@ def test_grow_writes_manifest_and_stages(tmp_path):
     subdir = next(p for p in os.listdir(out) if p.startswith("grow_"))
     names = os.listdir(os.path.join(out, subdir))
     assert "manifest.json" in names
-    assert sum(n.startswith("stage_") for n in names) == 4
+    # three stages grown after the empty start: only the last, stage 3, is written
+    assert [n for n in names if n.startswith("stage_")] == ["stage_003.json"]
     from spherefield import load_chain
     chain = load_chain(os.path.join(out, subdir))
     assert chain.seed == 5

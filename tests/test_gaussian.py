@@ -227,6 +227,24 @@ def test_nonproduct_equilateral(equilateral):
     m = build_model(equilateral, seed=16)
     w = nonproduct_witness(m, n_samples=10_000)
     assert w.exact_correlation == F(1, 2)
+    # every pair has the same positive correlation, as a mixture of iid laws can
+    assert w.not_iid_mixture is False
+
+
+def test_nonproduct_negative_pair_rules_out_iid_mixtures():
+    # squared distance 3: correlation -1/2, below the Var(int f dnu) >= 0 of a mixture
+    w = nonproduct_witness(build_model(space_from_sq([[0, 3], [3, 0]]), seed=17), n_samples=100)
+    assert w.exact_correlation == F(-1, 2)
+    assert w.not_iid_mixture is True
+
+
+def test_nonproduct_unequal_pairs_rule_out_iid_mixtures(isoceles, pair_half):
+    # correlations 0, 1/2, 1/2: all nonnegative, but a mixture makes them equal
+    w = nonproduct_witness(build_model(isoceles, seed=18), n_samples=100)
+    assert w.exact_correlation == F(1, 2)
+    assert w.not_iid_mixture is True
+    # a single pair can never show two different correlations
+    assert nonproduct_witness(pair_half, n_samples=100).not_iid_mixture is False
 
 
 # --- near-orthogonal copies -----------------------------------------------------
