@@ -59,7 +59,7 @@ def _run(workload: str, seed: int, seconds: int, trace: int) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", required=True, help="file to write, e.g. BENCH_18.json")
+    ap.add_argument("--out", required=True, help="file to write, e.g. BENCH_<n>.json")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=int, default=None,
                     help="timed seconds per run (default: BENCHMARK.json's run_seconds)")
