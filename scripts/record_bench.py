@@ -2,15 +2,17 @@
 
 Run from anywhere inside a checkout:
 
-    python3 scripts/record_bench.py --out BENCH_<n>.json [--seed 1] [--seconds 10]
+    python3 scripts/record_bench.py --out BENCH_<n>.json
 
 It runs `perfbench/run.py` once per workload named in BENCHMARK.json, with
 `--trace 0` (end-to-end metrics) and `--trace 1` (per-layer metrics), one
-run at a time. The JSON file it writes holds, per run, the last stdout line
-of `run.py` (its result object), the run's wall time and exit code, plus the
-host's usable cores, the Python, numpy and scipy versions and the git commit
-of the checkout with the paths that differ from it. Nothing here is timed
-inside the library; compare two such files from the same machine.
+run at a time, every run with seed 1 and BENCHMARK.json's `run_seconds`, so
+that any two such files were recorded under the same conditions. The JSON
+file it writes holds, per run, the last stdout line of `run.py` (its result
+object), the run's wall time and exit code, plus the host's usable cores,
+the Python, numpy and scipy versions and the git commit of the checkout with
+the paths that differ from it. Nothing here is timed inside the library;
+compare two such files from the same machine.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 1
 
 
 def _git(*args: str) -> str | None:
@@ -42,8 +45,8 @@ def _versions() -> dict:
             "scipy": scipy.__version__}
 
 
-def _run(workload: str, seed: int, seconds: int, trace: int) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+def _run(workload: str, seconds: int, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
            "--seconds", str(seconds), "--trace", str(trace)]
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
@@ -53,24 +56,20 @@ def _run(workload: str, seed: int, seconds: int, trace: int) -> dict:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = None
-    return {"workload": workload, "trace": trace, "seed": seed, "seconds": seconds,
+    return {"workload": workload, "trace": trace, "seed": SEED, "seconds": seconds,
             "exit_code": proc.returncode, "wall_s": round(wall, 3), "result": result}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="file to write, e.g. BENCH_<n>.json")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=None,
-                    help="timed seconds per run (default: BENCHMARK.json's run_seconds)")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    seconds = args.seconds or spec["run_seconds"]
     runs = []
     for workload in (w["name"] for w in spec["workloads"]):
         for trace in (0, 1):
-            runs.append(_run(workload, args.seed, seconds, trace))
+            runs.append(_run(workload, spec["run_seconds"], trace))
             r = runs[-1]
             print(f"{workload} --trace {trace}: exit {r['exit_code']}, {r['wall_s']} s",
                   file=sys.stderr)

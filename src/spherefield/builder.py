@@ -25,13 +25,13 @@ from .metric import (
     PartialIsometry,
     SpaceDistances,
     _border_point,
+    _space_bytes,
     _store_certificate,
     embed,
     extend_space,
     require_member,
     snap_and_certify,
     space_from_json,
-    space_to_json,
     verify_isometry,
 )
 from .sampling import random_unit_vectors
@@ -275,12 +275,11 @@ def grow_chain(
 def save_chain(chain: GenericChain, directory) -> None:
     """Write the last stage once, as `stage_{n_stages-1:03d}.json`, and a manifest with each
     stage's size and that file's sha256; ValueError, writing nothing, unless the stages nest."""
-    last = chain.stages[-1]
-    for i, st in enumerate(chain.stages):
-        rows = tuple(row[:st.n] for row in last.sq_dist[:st.n])
-        if st.labels != last.labels[:st.n] or st.sq_dist != rows:
+    top = chain.stages[-1]
+    for i, s in enumerate(chain.stages):
+        if s.labels != top.labels[:s.n] or s.sq_dist != tuple(r[:s.n] for r in top.sq_dist[:s.n]):
             raise ValueError(f"stage {i} is not a prefix of the last stage")
-    blob = (json.dumps(space_to_json(last), sort_keys=True) + "\n").encode()
+    blob = _space_bytes(top)
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, f"stage_{len(chain.stages) - 1:03d}.json"), "wb") as fh:
         fh.write(blob)
@@ -293,18 +292,17 @@ def save_chain(chain: GenericChain, directory) -> None:
 
 
 def load_chain(directory) -> GenericChain:
-    """Check the last stage's hash, then rebuild stage i as its first
-    `stage_points[i]` points. ValueError on a hash mismatch, or unless
-    `stage_points` rises from 0 to the last stage's n in n_stages steps."""
+    """Check the last stage's hash, then rebuild stage i as its first `stage_points[i]` points.
+    ValueError on a bad hash, or unless `stage_points` rises from 0 to the last n in n_stages."""
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
-    points, n_stages = manifest.get("stage_points"), manifest["n_stages"]
+    points, n_stages = manifest.get("stage_points"), manifest.get("n_stages")
     if (not isinstance(points, list) or not points or len(points) != n_stages
-            or any(a > b for a, b in zip([0] + points, points))):
+            or any(type(b) is not int or a > b for a, b in zip([0] + points, points))):
         raise ValueError(f"bad manifest stage_points: {points}")
     with open(os.path.join(directory, f"stage_{n_stages - 1:03d}.json"), "rb") as fh:
         blob = fh.read()
-    if hashlib.sha256(blob).hexdigest() != manifest["last_stage_sha256"]:
+    if hashlib.sha256(blob).hexdigest() != manifest.get("last_stage_sha256"):
         raise ValueError(f"stage {n_stages - 1} hash mismatch: file corrupted or edited")
     last = space_from_json(json.loads(blob))
     if points[-1] != last.n:

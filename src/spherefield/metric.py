@@ -413,10 +413,13 @@ def space_from_json(obj: dict) -> SpaceDistances:
     return SpaceDistances(labels=tuple(labels), sq_dist=sq)
 
 
+def _space_bytes(space: SpaceDistances) -> bytes:
+    return (json.dumps(space_to_json(space), sort_keys=True) + "\n").encode()
+
+
 def save_space(space: SpaceDistances, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(space_to_json(space), fh, sort_keys=True)
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(_space_bytes(space))
 
 
 def load_space(path) -> SpaceDistances:
@@ -429,8 +432,7 @@ def load_space(path) -> SpaceDistances:
 
 
 def space_hash(space: SpaceDistances) -> str:
-    blob = json.dumps(space_to_json(space), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return hashlib.sha256(_space_bytes(space)[:-1]).hexdigest()  # the file without its newline
 
 
 def space_from_sq(sq, labels=None) -> SpaceDistances:

@@ -391,9 +391,9 @@ def test_save_chain_rejects_unnested_stages_and_writes_nothing(stages, tmp_path)
 
 
 @pytest.mark.parametrize("points", [None, [0, 1], [0, 1, 2, 3], [1, 0, 2], [-1, 1, 2],
-                                    [0, 1, 1], "012"],
+                                    [0, 1, 1], "012", [0, 1.0, 2], [0, None, 2], [False, True, 2]],
                          ids=["missing", "short", "long", "decreasing", "negative",
-                              "wrong-end", "not-a-list"])
+                              "wrong-end", "not-a-list", "float", "null", "bool"])
 def test_load_chain_rejects_bad_stage_points(points, tmp_path):
     save_chain(grow_chain(seed=12, n_stages=2), tmp_path / "chain")
     path = tmp_path / "chain" / "manifest.json"
@@ -405,6 +405,16 @@ def test_load_chain_rejects_bad_stage_points(points, tmp_path):
         manifest["stage_points"] = points
     path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="stage_points"):
+        load_chain(tmp_path / "chain")
+
+
+def test_load_chain_without_hash_raises_value_error(tmp_path):
+    save_chain(grow_chain(seed=12, n_stages=1), tmp_path / "chain")
+    path = tmp_path / "chain" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["last_stage_sha256"]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="hash"):
         load_chain(tmp_path / "chain")
 
 
